@@ -8,10 +8,7 @@ from .core import (  # noqa: F401
     check_equivalence,
     emit_tileset,
     fuse,
-    fuse_sets,
     parse_tileset,
-    run_transducer,
-    to_transducer,
 )
 from .morphism import (  # noqa: F401
     Morphism2d,

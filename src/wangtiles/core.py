@@ -1,4 +1,4 @@
-"""Wang tiles, tile sets, fusion, duality, transducers and equivalence search.
+"""Wang tiles, tile sets, fusion, duality and equivalence search.
 
 A Wang tile is a unit square with a color token on each edge, stored as the
 tuple (right, top, left, bottom).  Tiles never rotate.  Everything here is an
@@ -7,20 +7,12 @@ immutable value; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
 class ParseError(ValueError):
     """Raised when a tile-set text document is malformed."""
-
-
-class TransducerRunError(ValueError):
-    """Raised when a transducer run has no matching transition."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position
 
 
 # Fused color tokens concatenate directly ("B"+"F" -> "BF") when every part is
@@ -165,113 +157,6 @@ def parse_tileset(text: str) -> WangTileSet:
 def emit_tileset(ts: WangTileSet) -> str:
     """Inverse of parse_tileset: one tile per line in index order."""
     return "".join(f"{t.right} {t.top} {t.left} {t.bottom}\n" for t in ts)
-
-
-def fuse_sets(T: WangTileSet, S: WangTileSet, direction: int) -> WangTileSet:
-    """All well-defined pairwise fusions of T and S along an axis.
-
-    Results are deduplicated, ordered by the (i, j) source index pair.
-    """
-    out: list[WangTile] = []
-    seen: set[WangTile] = set()
-    for u in T:
-        for v in S:
-            w = fuse(u, v, direction)
-            if w is not None and w not in seen:
-                seen.add(w)
-                out.append(w)
-    return WangTileSet(out)
-
-
-@dataclass(frozen=True, order=True)
-class Transition:
-    """Edge ``source --input|output--> target`` of a tile-set transducer."""
-
-    source: str
-    input: str
-    output: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Transducer:
-    """Transducer view of a tile set: states are the vertical colors.
-
-    One transition per tile: tile (a, b, c, d) becomes c --d|b--> a, so a row
-    of tiles reads its bottom colors and writes its top colors.
-    """
-
-    states: frozenset[str]
-    transitions: tuple[Transition, ...] = field(default_factory=tuple)
-
-    def to_tileset(self) -> WangTileSet:
-        """Rebuild the tile set, one tile per transition in listed order."""
-        return WangTileSet(
-            WangTile(tr.target, tr.output, tr.source, tr.input) for tr in self.transitions
-        )
-
-    def trim(self) -> "Transducer":
-        """Recursively drop source states (no incoming) and sink states (no outgoing)."""
-        states = set(self.states)
-        transitions = list(self.transitions)
-        while True:
-            with_in = {tr.target for tr in transitions}
-            with_out = {tr.source for tr in transitions}
-            keep = {s for s in states if s in with_in and s in with_out}
-            if keep == states:
-                return Transducer(frozenset(states), tuple(transitions))
-            states = keep
-            transitions = [tr for tr in transitions if tr.source in keep and tr.target in keep]
-
-
-def to_transducer(T: WangTileSet, trim: bool = False) -> Transducer:
-    tr = Transducer(
-        frozenset(T.vertical_colors),
-        tuple(Transition(t.left, t.bottom, t.top, t.right) for t in T),
-    )
-    return tr.trim() if trim else tr
-
-
-def run_transducer(
-    machine: Transducer, start_state: str, inputs: Iterable[str]
-) -> tuple[list[str], str]:
-    """The unique complete run on the input word: (output word, end state).
-
-    Locally several transitions may match a (state, input) pair, so the run
-    backtracks; it is deterministic in the sense that exactly one branch may
-    survive to the end of the input.  Raises TransducerRunError citing the
-    deepest reachable position when no branch survives, or reporting
-    ambiguity when several do.
-    """
-    table: dict[tuple[str, str], list[Transition]] = {}
-    for tr in machine.transitions:
-        table.setdefault((tr.source, tr.input), []).append(tr)
-    word = list(inputs)
-    runs: list[tuple[list[str], str]] = []
-    deepest = 0
-
-    def dfs(pos: int, state: str, out: list[str]) -> None:
-        nonlocal deepest
-        deepest = max(deepest, pos)
-        if len(runs) > 1:
-            return
-        if pos == len(word):
-            runs.append((list(out), state))
-            return
-        for tr in table.get((state, word[pos]), ()):
-            out.append(tr.output)
-            dfs(pos + 1, tr.target, out)
-            out.pop()
-
-    dfs(0, start_state, [])
-    if not runs:
-        raise TransducerRunError(
-            f"no run from state {start_state!r} consumes the input past position {deepest}",
-            deepest,
-        )
-    if len(runs) > 1:
-        raise TransducerRunError("ambiguous run: several branches consume the input", 0)
-    return runs[0]
 
 
 @dataclass(frozen=True)

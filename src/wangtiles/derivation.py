@@ -33,15 +33,10 @@ class MarkerError(ValueError):
 
 @dataclass(frozen=True)
 class MarkerSet:
-    """Candidate marker tiles along an axis (1 or 2).
-
-    The verified flag is only ever set by a successful verify_markers run
-    (candidates returned by find_marker_candidates carry it already).
-    """
+    """Candidate marker tiles along an axis (1 or 2)."""
 
     tile_indices: frozenset[int]
     direction: int
-    verified: bool = False
 
     def __post_init__(self):
         if self.direction not in (1, 2):
@@ -147,7 +142,7 @@ def find_marker_candidates(
         if not M or len(M) == len(T):
             continue
         if verify_markers(T, M, direction, radius):
-            out.append(MarkerSet(M, direction, verified=True))
+            out.append(MarkerSet(M, direction))
     out.sort(key=lambda m: (len(m.tile_indices), sorted(m.tile_indices)))
     seen: set[frozenset[int]] = set()
     unique = []
@@ -214,7 +209,6 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
     report = verify_markers(T, markers.tile_indices, markers.direction, radius)
     if not report:
         raise MarkerError(report)
-    markers = MarkerSet(markers.tile_indices, markers.direction, verified=True)
     direction = markers.direction
     M = markers.tile_indices
     D = dominoes_with_surrounding(T, direction, radius)

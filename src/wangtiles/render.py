@@ -12,6 +12,7 @@ from typing import Optional
 
 from .core import WangTileSet, display_token
 from .morphism import Morphism2d, Word2d
+from .solver import violations
 from .spectral import GOLDEN_ONE, GoldenNumber
 
 SVG_CELL = 48.0
@@ -30,19 +31,6 @@ class GeometryError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _violations(T: WangTileSet, w: Word2d) -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    out = set()
-    n1, n2 = w.shape
-    for x in range(n1):
-        for y in range(n2):
-            t = T[w.cell(x, y)]
-            if x + 1 < n1 and t.right != T[w.cell(x + 1, y)].left:
-                out.add(((x, y), (x + 1, y)))
-            if y + 1 < n2 and t.top != T[w.cell(x, y + 1)].bottom:
-                out.add(((x, y), (x, y + 1)))
-    return out
 
 
 def _center(s: str, width: int, fill: str) -> str:
@@ -64,7 +52,7 @@ def render_text(
     colors in the cell rows.  A mismatched shared edge is marked with ``X``.
     """
     n1, n2 = pattern.shape
-    bad = _violations(T, pattern)
+    bad = set(violations(T, pattern))
     if ascii_only:
         tl = tr = bl = br = tm = bm = lm = rm = mm = "+"
         hbar = "-"
@@ -137,7 +125,7 @@ def _palette_for(T: WangTileSet, pattern: Word2d) -> dict[str, str]:
 def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """SVG 1.1 document; each cell shows four colored edge triangles."""
     n1, n2 = pattern.shape
-    bad = _violations(T, pattern)
+    bad = set(violations(T, pattern))
     colors = _palette_for(T, pattern)
     s = SVG_CELL
     W, H = n1 * s, n2 * s
@@ -207,7 +195,7 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
 def render_tikz(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """Standalone tikzpicture with one unit square per cell."""
     n1, n2 = pattern.shape
-    bad = _violations(T, pattern)
+    bad = set(violations(T, pattern))
     out = ["\\begin{tikzpicture}[scale=1.0]", "\\tikzstyle{every node}=[font=\\tiny]"]
     for x in range(n1):
         for y in range(n2):

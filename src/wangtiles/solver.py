@@ -3,8 +3,9 @@
 Rectangles have free boundary colors; only interior adjacencies are
 constrained.  The solver works on candidate bitmasks (one bit per tile):
 pins and their neighborhoods are propagated to a fixpoint before search,
-then a forward-checking backtracker finishes the job.  Existence queries
-pick the most constrained cell first; enumerations are reported in
+then one iterative forward-checking backtracker, most constrained cell
+first, finishes the job for every mode: existence stops at the first
+solution, counting tallies them, and enumerations are sorted into
 canonical cell-scan order (bottom row first, left to right).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, Optional, Union
+from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .core import WangTileSet
 from .morphism import Word2d
@@ -20,17 +21,21 @@ from .morphism import Word2d
 Mode = Literal["exists", "enumerate", "count"]
 
 
-def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
-    """Do all internal adjacencies of the pattern match in color?"""
+def violations(T: WangTileSet, w: Word2d) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each internal edge whose two colors differ, as a (cell, east or north cell) pair."""
     n1, n2 = w.shape
     for x in range(n1):
         for y in range(n2):
             t = T[w.cell(x, y)]
             if x + 1 < n1 and t.right != T[w.cell(x + 1, y)].left:
-                return False
+                yield ((x, y), (x + 1, y))
             if y + 1 < n2 and t.top != T[w.cell(x, y + 1)].bottom:
-                return False
-    return True
+                yield ((x, y), (x, y + 1))
+
+
+def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
+    """Do all internal adjacencies of the pattern match in color?"""
+    return next(violations(T, w), None) is None
 
 
 @dataclass(frozen=True)
@@ -143,27 +148,34 @@ def _initial_masks(
     return masks
 
 
-def _search_exists(masks: list[int], width: int, height: int, tb: _Tables) -> bool:
-    cells = width * height
-    order_pool = [i for i in range(cells) if masks[i].bit_count() > 1]
+def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterator[list[int]]:
+    """Yield every completion of the propagated masks.
+
+    Each solution is the live ``masks`` list with one bit per cell; copy it to
+    keep it past the next step.  The most constrained cell is branched on
+    first, its tile bits in ascending order, with forward checking on the
+    four neighbors and an undo trail.  The search keeps its own stack, so its
+    depth is bounded by memory, not by the interpreter's recursion limit.
+    """
+    pool = [i for i, m in enumerate(masks) if m.bit_count() > 1]
     assigned = [m.bit_count() == 1 for m in masks]
-
-    def neighbor_constraints(idx: int, tile: int) -> list[tuple[int, int]]:
-        out = []
+    neighbors = []
+    for idx in range(width * height):
         x, y = idx % width, idx // width
+        nbs = []
         if x + 1 < width:
-            out.append((idx + 1, tb.right_succ[tile]))
+            nbs.append((idx + 1, tb.right_succ))
         if x > 0:
-            out.append((idx - 1, tb.left_pred[tile]))
+            nbs.append((idx - 1, tb.left_pred))
         if y + 1 < height:
-            out.append((idx + width, tb.top_succ[tile]))
+            nbs.append((idx + width, tb.top_succ))
         if y > 0:
-            out.append((idx - width, tb.bottom_pred[tile]))
-        return out
+            nbs.append((idx - width, tb.bottom_pred))
+        neighbors.append(nbs)
 
-    def dfs() -> bool:
+    def most_constrained() -> int:
         best, best_count = -1, 1 << 30
-        for i in order_pool:
+        for i in pool:
             if assigned[i]:
                 continue
             c = masks[i].bit_count()
@@ -171,66 +183,49 @@ def _search_exists(masks: list[int], width: int, height: int, tb: _Tables) -> bo
                 best, best_count = i, c
                 if c == 2:
                     break
-        if best == -1:
-            return True
-        rem = masks[best]
-        assigned[best] = True
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            tile = bit.bit_length() - 1
+        return best
+
+    cell = most_constrained()
+    if cell == -1:
+        yield masks
+        return
+    assigned[cell] = True
+    saved = rem = masks[cell]
+    trail: list[tuple[int, int]] = []
+    stack: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    while True:
+        masks[cell] = saved
+        for nb, old in trail:
+            masks[nb] = old
+        if not rem:
+            assigned[cell] = False
+            if not stack:
+                return
+            cell, rem, saved, trail = stack.pop()
+            continue
+        bit = rem & -rem
+        rem ^= bit
+        tile = bit.bit_length() - 1
+        trail = []
+        for nb, allowed in neighbors[cell]:
+            old = masks[nb]
+            new = old & allowed[tile]
+            if new != old:
+                if new == 0:
+                    break
+                masks[nb] = new
+                trail.append((nb, old))
+        else:
+            masks[cell] = bit
+            nxt = most_constrained()
+            if nxt == -1:
+                yield masks
+                continue
+            stack.append((cell, rem, saved, trail))
+            cell = nxt
+            assigned[cell] = True
+            saved = rem = masks[cell]
             trail = []
-            ok = True
-            for nb, allowed in neighbor_constraints(best, tile):
-                old = masks[nb]
-                new = old & allowed
-                if new != old:
-                    if new == 0:
-                        ok = False
-                        break
-                    masks[nb] = new
-                    trail.append((nb, old))
-            if ok:
-                saved = masks[best]
-                masks[best] = bit
-                if dfs():
-                    return True
-                masks[best] = saved
-            for nb, old in trail:
-                masks[nb] = old
-        assigned[best] = False
-        return False
-
-    return dfs()
-
-
-def _search_enumerate(masks: list[int], width: int, height: int, tb: _Tables) -> list[Word2d]:
-    """All completions, in canonical cell-scan order (y outer, x inner)."""
-    cells = width * height
-    grid = [0] * cells
-    out: list[Word2d] = []
-
-    def dfs(idx: int) -> None:
-        if idx == cells:
-            cols = tuple(
-                tuple(grid[y * width + x] for y in range(height)) for x in range(width)
-            )
-            out.append(Word2d(cols))
-            return
-        x, y = idx % width, idx // width
-        m = masks[idx]
-        if x > 0:
-            m &= tb.right_succ[grid[idx - 1]]
-        if y > 0:
-            m &= tb.top_succ[grid[idx - width]]
-        while m:
-            bit = m & -m
-            m ^= bit
-            grid[idx] = bit.bit_length() - 1
-            dfs(idx + 1)
-
-    dfs(0)
-    return out
 
 
 def solve_rectangle(
@@ -255,55 +250,41 @@ def solve_rectangle(
         if not (0 <= tile < len(T)):
             raise ValueError(f"pin tile index {tile} out of range")
     tb = _tables(T)
-    if len(T) == 0:
-        return (False if mode == "exists" else ([] if mode == "enumerate" else 0))
     masks = _initial_masks(T, width, height, pins, tb)
     if masks is None or not _propagate(masks, width, height, tb):
         return False if mode == "exists" else ([] if mode == "enumerate" else 0)
+    found = _solutions(masks, width, height, tb)
     if mode == "exists":
-        return _search_exists(masks, width, height, tb)
-    found = _search_enumerate(masks, width, height, tb)
-    return found if mode == "enumerate" else len(found)
+        return next(found, None) is not None
+    if mode == "count":
+        return sum(1 for _ in found)
+    # Row-major tile tuples sort into canonical scan order (y outer, x inner).
+    scans = sorted(tuple(m.bit_length() - 1 for m in sol) for sol in found)
+    return [
+        Word2d(tuple(tuple(s[y * width + x] for y in range(height)) for x in range(width)))
+        for s in scans
+    ]
 
 
-@dataclass(frozen=True)
-class SurroundingQuery:
-    """A pattern plus the ring of cells a radius-r surrounding must fill.
+def pattern_has_surrounding(T: WangTileSet, pattern: Word2d, radius: int) -> bool:
+    """Can the pattern be extended by a radius-r ring on every side?
 
     The ring is one pattern-shape thick per unit of radius: the extended
     rectangle has shape (n1*(1+2r), n2*(1+2r)) with the pattern pinned at
     offset (n1*r, n2*r).  For a single letter this is the plain r-cell ring.
     """
-
-    pattern: Word2d
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-
-    @property
-    def extended_shape(self) -> tuple[int, int]:
-        n1, n2 = self.pattern.shape
-        return (n1 * (1 + 2 * self.radius), n2 * (1 + 2 * self.radius))
-
-    def pins(self) -> dict[tuple[int, int], int]:
-        n1, n2 = self.pattern.shape
-        r = self.radius
-        return {
-            (x + n1 * r, y + n2 * r): self.pattern.cell(x, y)
-            for x in range(n1)
-            for y in range(n2)
-        }
-
-
-def pattern_has_surrounding(T: WangTileSet, pattern: Word2d, radius: int) -> bool:
-    """Can the pattern be extended by a radius-r ring on every side?"""
-    q = SurroundingQuery(pattern, radius)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if radius == 0:
         return is_valid_pattern(T, pattern)
-    w, h = q.extended_shape
-    return bool(solve_rectangle(T, w, h, q.pins(), "exists"))
+    n1, n2 = pattern.shape
+    pins = {
+        (x + n1 * radius, y + n2 * radius): pattern.cell(x, y)
+        for x in range(n1)
+        for y in range(n2)
+    }
+    side = 1 + 2 * radius
+    return bool(solve_rectangle(T, n1 * side, n2 * side, pins, "exists"))
 
 
 def _surrounding_ladder(T: WangTileSet, patterns: Iterable[Word2d], radius: int) -> list[Word2d]:

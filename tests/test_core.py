@@ -4,18 +4,13 @@ import pytest
 
 from wangtiles.core import (
     ParseError,
-    Transducer,
-    TransducerRunError,
     WangTile,
     WangTileSet,
     check_equivalence,
     emit_tileset,
     fuse,
-    fuse_sets,
     parse_tileset,
     relabel,
-    run_transducer,
-    to_transducer,
 )
 from wangtiles.corpus import HORIZONTAL_RELABEL, VERTICAL_RELABEL, builtin
 
@@ -120,72 +115,15 @@ class TestFuse:
                         u.right + v.right, v.top, u.left + v.left, u.bottom
                     )
 
-
-class TestFuseSets:
-    def test_empty(self):
-        empty = WangTileSet([])
-        assert len(fuse_sets(empty, U, 1)) == 0
-
-    def test_trimmed_horizontal_self_fusion_has_35_tiles(self):
-        # Trimming acts on the transducer whose states are the fused
-        # composite colors, i.e. the column transducer of a row fusion.
-        fused = fuse_sets(U, U, 1)
-        trimmed = to_transducer(fused.dual(), trim=True).to_tileset().dual()
-        assert len(trimmed) == 35
-        quads = fuse_sets(trimmed, trimmed, 2)
-        assert len(to_transducer(quads, trim=True).to_tileset()) == 55
-
     def test_dual_distributes_over_fusion(self):
-        for T, S in ((U, U), (V, V), (U, U.dual().dual())):
-            assert fuse_sets(T, S, 1).dual() == fuse_sets(T.dual(), S.dual(), 2)
-            assert fuse_sets(T, S, 2).dual() == fuse_sets(T.dual(), S.dual(), 1)
+        def dual(t):
+            return None if t is None else t.dual()
 
-
-class TestTransducer:
-    def test_tile_to_transition(self):
-        tr = to_transducer(U).transitions[0]
-        assert (tr.source, tr.input, tr.output, tr.target) == ("J", "O", "O", "F")
-
-    def test_empty(self):
-        machine = to_transducer(WangTileSet([]))
-        assert not machine.states and not machine.transitions
-
-    def test_u_has_10_states_19_transitions(self):
-        machine = to_transducer(U)
-        assert len(machine.states) == 10
-        assert len(machine.transitions) == 19
-
-    def test_roundtrip(self):
-        assert to_transducer(U).to_tileset() == U
-
-    def test_run_example(self):
-        machine = to_transducer(U)
-        out, end = run_transducer(machine, "G", "KOKPOKOKPOKPO")
-        assert "".join(out) == "PLKPLPLKPLPPL"
-        assert end == "G"
-
-    def test_run_empty_input(self):
-        out, end = run_transducer(to_transducer(U), "G", "")
-        assert out == [] and end == "G"
-
-    def test_run_computes_next_row_of_inflation_patch(self):
-        # The output word of one row is the input of the row above it.
-        from wangtiles.morphism import iterate
-
-        omega = builtin("omega").payload
-        patch = iterate(omega, 4, 5)
-        machine = to_transducer(U)
-        row0 = [U[patch.cell(x, 0)] for x in range(13)]
-        row1 = [U[patch.cell(x, 1)] for x in range(13)]
-        out, end = run_transducer(machine, row1[0].left, [t.top for t in row0])
-        assert out == [t.top for t in row1]
-        assert end == row1[-1].right
-
-    def test_run_failure_cites_position(self):
-        machine = to_transducer(U)
-        with pytest.raises(TransducerRunError) as info:
-            run_transducer(machine, "G", "KZ")
-        assert info.value.position == 1
+        for T, S in ((U, U), (V, V), (U, V)):
+            for u in T:
+                for v in S:
+                    assert dual(fuse(u, v, 1)) == fuse(u.dual(), v.dual(), 2)
+                    assert dual(fuse(u, v, 2)) == fuse(u.dual(), v.dual(), 1)
 
 
 class TestEquivalence:

@@ -10,7 +10,6 @@ from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, iterate
 from wangtiles.solver import (
-    SurroundingQuery,
     dominoes_with_surrounding,
     is_valid_pattern,
     pattern_has_surrounding,
@@ -96,14 +95,24 @@ class TestSolveRectangle:
         flat = [tuple(w.cell(x, y) for y in range(2) for x in range(2)) for w in a]
         assert flat == sorted(flat)
 
+    def test_long_strips_do_not_exhaust_the_stack(self):
+        assert solve_rectangle(U, 2000, 1) is True
+        assert solve_rectangle(U, 1, 2000) is True
+
     @settings(deadline=None, max_examples=60)
-    @given(small_tileset(), st.integers(1, 3), st.integers(1, 2))
-    def test_matches_brute_force(self, ts, width, height):
-        got = solve_rectangle(ts, width, height, None, "enumerate")
-        expected = brute_force_solutions(list(ts), width, height)
-        assert sorted(got) == sorted(expected)
-        assert solve_rectangle(ts, width, height, None, "count") == len(expected)
-        assert solve_rectangle(ts, width, height, None, "exists") == bool(expected)
+    @given(small_tileset(), st.integers(1, 3), st.integers(1, 2), st.data())
+    def test_matches_brute_force(self, ts, width, height, data):
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        pins = data.draw(st.dictionaries(cells, st.integers(0, len(ts) - 1), max_size=2))
+        got = solve_rectangle(ts, width, height, pins, "enumerate")
+        expected = [
+            w
+            for w in brute_force_solutions(list(ts), width, height)
+            if all(w.cell(x, y) == t for (x, y), t in pins.items())
+        ]
+        assert got == expected  # brute force also scans in canonical order
+        assert solve_rectangle(ts, width, height, pins, "count") == len(expected)
+        assert solve_rectangle(ts, width, height, pins, "exists") == bool(expected)
 
 
 class TestSurroundings:
@@ -141,9 +150,14 @@ class TestSurroundings:
         assert len(patterns_with_surrounding(U, (2, 2), 1)) == 50
 
     def test_surrounding_query_geometry(self):
-        q = SurroundingQuery(Word2d(((0, 1),)), 2)
-        assert q.extended_shape == (5, 10)
-        assert q.pins()[(2, 4)] == 0 and q.pins()[(2, 5)] == 1
+        # A vertical domino with a radius-2 ring of domino copies is the
+        # 5x10 rectangle with the domino pinned at (2, 4) and (2, 5).
+        for i, u in enumerate(U):
+            for j, v in enumerate(U):
+                if u.top == v.bottom:
+                    assert pattern_has_surrounding(U, Word2d(((i, j),)), 2) == solve_rectangle(
+                        U, 5, 10, {(2, 4): i, (2, 5): j}
+                    )
 
     def test_radius_zero_is_validity(self):
         valid = Word2d(((0,), (3,)))  # right F meets left F
