@@ -138,12 +138,19 @@ class Morphism2d:
     def from_json_table(
         table: dict[str, list[list[int]]], domain: WangTileSet, codomain: WangTileSet
     ) -> "Morphism2d":
+        if not isinstance(table, dict):
+            raise ValueError("a morphism table must map domain letters to images")
         images = []
         for a in range(len(domain)):
             key = str(a)
             if key not in table:
                 raise ValueError(f"missing image for domain letter {a}")
-            images.append(Word2d.from_columns(table[key]))
+            image = table[key]
+            if not isinstance(image, list) or not all(
+                isinstance(col, list) and all(type(c) is int for c in col) for col in image
+            ):
+                raise ValueError(f"image of domain letter {a} is not a list of integer columns")
+            images.append(Word2d.from_columns(image))
         return Morphism2d(domain, codomain, tuple(images))
 
 
@@ -209,6 +216,8 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
         raise ValueError("iteration requires domain == codomain")
     if not 0 <= letter < len(m.domain):
         raise ValueError(f"letter {letter} outside the domain 0..{len(m.domain) - 1}")
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
     w = Word2d.letter(letter)
     for k in range(n):
         try:

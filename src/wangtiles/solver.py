@@ -7,6 +7,15 @@ then one iterative forward-checking backtracker, most constrained cell
 first, finishes the job for every mode: existence stops at the first
 solution, counting tallies them, and enumerations are sorted into
 canonical cell-scan order (bottom row first, left to right).
+
+Propagation is table-driven: for each adjacency direction and each 8-bit
+chunk of a candidate mask, a table of up to 256 entries holds the union of
+the neighbor masks of every subset of the tiles in that chunk, so a union
+over any candidate set costs one lookup per chunk.  The tables are built
+lazily, on the first query for a tile set.
+
+Domino sets are computed once per (tile set, axis, radius) and kept in a
+small bounded cache; radius r filters the radius r-1 survivors.
 """
 
 from __future__ import annotations
@@ -52,9 +61,28 @@ class _Tables:
     has_left: int
     has_top: int
     has_bottom: int
+    # One lookup table per 8-bit chunk of a candidate mask (256 entries, fewer
+    # for a short last chunk): entry b of chunk k is the union of the masks of
+    # the tiles 8k + i for the set bits i of b.
+    right_chunks: tuple[tuple[int, ...], ...]
+    left_chunks: tuple[tuple[int, ...], ...]
+    top_chunks: tuple[tuple[int, ...], ...]
+    bottom_chunks: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=64)
+def _chunk_tables(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    chunks = []
+    for base in range(0, len(masks), 8):
+        tab = [0] * (1 << min(8, len(masks) - base))
+        for b in range(1, len(tab)):
+            tab[b] = tab[b & (b - 1)] | masks[base + (b & -b).bit_length() - 1]
+        chunks.append(tuple(tab))
+    return tuple(chunks)
+
+
+# Small on purpose: the chunk tables take tens of kilobytes per tile set, and
+# every fresh relabeling of a tile set gets its own entry.
+@lru_cache(maxsize=8)
 def _tables(T: WangTileSet) -> _Tables:
     n = len(T)
     by_left: dict[str, int] = {}
@@ -81,15 +109,21 @@ def _tables(T: WangTileSet) -> _Tables:
         has_left=sum(1 << i for i in range(n) if left_pred[i]),
         has_top=sum(1 << i for i in range(n) if top_succ[i]),
         has_bottom=sum(1 << i for i in range(n) if bottom_pred[i]),
+        right_chunks=_chunk_tables(right_succ),
+        left_chunks=_chunk_tables(left_pred),
+        top_chunks=_chunk_tables(top_succ),
+        bottom_chunks=_chunk_tables(bottom_pred),
     )
 
 
-def _union(masks: tuple[int, ...], over: int) -> int:
+def _union(chunks: tuple[tuple[int, ...], ...], over: int) -> int:
+    """Union of the per-tile masks over the tiles set in ``over``."""
     acc = 0
-    while over:
-        i = (over & -over).bit_length() - 1
-        acc |= masks[i]
-        over &= over - 1
+    for tab in chunks:
+        if not over:
+            break
+        acc |= tab[over & 0xFF]
+        over >>= 8
     return acc
 
 
@@ -101,13 +135,13 @@ def _propagate(masks: list[int], width: int, height: int, tb: _Tables) -> bool:
         x, y = idx % width, idx // width
         m = masks[idx]
         if x > 0:
-            m &= _union(tb.right_succ, masks[idx - 1])
+            m &= _union(tb.right_chunks, masks[idx - 1])
         if x + 1 < width:
-            m &= _union(tb.left_pred, masks[idx + 1])
+            m &= _union(tb.left_chunks, masks[idx + 1])
         if y > 0:
-            m &= _union(tb.top_succ, masks[idx - width])
+            m &= _union(tb.top_chunks, masks[idx - width])
         if y + 1 < height:
-            m &= _union(tb.bottom_pred, masks[idx + width])
+            m &= _union(tb.bottom_chunks, masks[idx + width])
         if m == masks[idx]:
             continue
         if m == 0:
@@ -302,20 +336,30 @@ def dominoes_with_surrounding(
     valid rectangle with a ring of ``radius`` domino-copies on every side."""
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    pairs = []
-    for i, u in enumerate(T):
-        for j, v in enumerate(T):
-            if direction == 1 and u.right == v.left:
-                pairs.append((i, j))
-            elif direction == 2 and u.top == v.bottom:
-                pairs.append((i, j))
-    words = {
-        (i, j): Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),))
-        for i, j in pairs
-    }
-    alive = _surrounding_ladder(T, list(words.values()), radius)
-    alive_set = set(alive)
-    return sorted(p for p, w in words.items() if w in alive_set)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return list(_dominoes(T, direction, radius))
+
+
+@lru_cache(maxsize=32)
+def _dominoes(T: WangTileSet, direction: int, radius: int) -> tuple[tuple[int, int], ...]:
+    """Sorted surviving pairs; radius r filters the radius r-1 survivors
+    (surroundings are monotone in the radius)."""
+    if radius == 0:
+        return tuple(
+            (i, j)
+            for i, u in enumerate(T)
+            for j, v in enumerate(T)
+            if (u.right == v.left if direction == 1 else u.top == v.bottom)
+        )
+    survivors = _dominoes(T, direction, radius - 1)
+    return tuple(
+        (i, j)
+        for i, j in survivors
+        if pattern_has_surrounding(
+            T, Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),)), radius
+        )
+    )
 
 
 def patterns_with_surrounding(
@@ -326,6 +370,8 @@ def patterns_with_surrounding(
     w, h = shape
     if w < 1 or h < 1:
         raise ValueError("shape components must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     base = solve_rectangle(T, w, h, None, "enumerate")
     assert isinstance(base, list)
     return sorted(_surrounding_ladder(T, base, radius))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from wangtiles.certify import certify
 from wangtiles.core import WangTile, WangTileSet
@@ -9,6 +12,8 @@ from wangtiles.corpus import builtin
 U = builtin("U").payload
 V = builtin("V").payload
 W = builtin("W").payload
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestAutoPlanOnU:
@@ -84,3 +89,19 @@ class TestOtherSubjects:
             assert "two derivation steps" in str(e)
         else:
             raise AssertionError("expected a plan-length error")
+
+
+# Certificates recorded before the solver's fast paths went in; every run must
+# reproduce them byte for byte once the wall-clock timestamps are dropped.
+@pytest.mark.parametrize(
+    "name, plan, golden",
+    [
+        ("U", "auto", "certificate_U_auto.json"),
+        ("V", [(1, 1), (2, 2)], "certificate_V_e1-1_e2-2.json"),
+        ("W", "auto", "certificate_W_auto.json"),
+    ],
+)
+def test_certificate_matches_golden_bytes(name, plan, golden):
+    doc = json.loads(certify(builtin(name).payload, name, plan).to_json())
+    del doc["timestamps"]
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == (DATA / golden).read_text()

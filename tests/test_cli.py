@@ -26,6 +26,12 @@ class TestDominoes:
         assert code == 0
         assert len(json.loads(out)) == 30
 
+    def test_negative_radius_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "dominoes", "U", "--dir", "2", "--radius", "-1")
+        assert code == 2
+        assert out == ""
+        assert "radius" in err
+
 
 class TestPatterns:
     def test_patterns_json(self, capsys):
@@ -39,6 +45,12 @@ class TestPatterns:
         code, _, err = run(capsys, "patterns", "U", "--shape", "two", "--radius", "1")
         assert code == 2
         assert "shape" in err
+
+    def test_negative_radius_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "patterns", "U", "--shape", "2x2", "--radius", "-1")
+        assert code == 2
+        assert out == ""
+        assert "radius" in err
 
 
 class TestMarkers:
@@ -124,6 +136,23 @@ class TestIterateAndRender:
     def test_render_without_source(self, capsys):
         code, _, err = run(capsys, "render", "U")
         assert code == 2
+
+    def test_negative_step_count_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "iterate", "omega", "0", "-3")
+        assert code == 2
+        assert out == ""
+        assert "iteration count" in err
+
+    def test_malformed_morphism_table_is_a_usage_error(self, capsys, tmp_path):
+        table = tmp_path / "m.json"
+        for doc in ({"0": 5}, {"0": [5]}, {"0": [["a"]]}, [[0]]):
+            table.write_text(json.dumps(doc))
+            code, out, err = run(
+                capsys, "iterate", str(table), "0", "1", "--domain", "U", "--codomain", "U"
+            )
+            assert code == 2, doc
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "render", "U", "--letter", "99")

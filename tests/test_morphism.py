@@ -159,6 +159,24 @@ class TestPrimitivity:
             is_primitive(IntMatrix([[1, -1], [0, 1]]))
 
 
+class TestJsonTable:
+    def test_roundtrip(self):
+        assert Morphism2d.from_json_table(omega.to_json_table(), U, U) == omega
+
+    @pytest.mark.parametrize(
+        "image", [5, [5], "ab", [[0, "1"]], [[0.0]], [[True]], [(0,)], None]
+    )
+    def test_malformed_image_is_a_value_error(self, image):
+        table = omega.to_json_table()
+        table["0"] = image
+        with pytest.raises(ValueError, match="domain letter 0"):
+            Morphism2d.from_json_table(table, U, U)
+
+    def test_table_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="map domain letters"):
+            Morphism2d.from_json_table([[[0]]], U, U)
+
+
 class TestIterate:
     def test_zero_steps(self):
         assert iterate(omega, 4, 0) == Word2d.letter(4)
@@ -171,6 +189,10 @@ class TestIterate:
     def test_requires_self_morphism(self):
         with pytest.raises(ValueError):
             iterate(alpha, 0, 2)
+
+    def test_negative_steps(self):
+        with pytest.raises(ValueError, match="iteration count"):
+            iterate(omega, 0, -3)
 
     def test_shapes_nondecreasing_and_expanding(self):
         for a in (0, 4, 16):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, iterate
 from wangtiles.solver import (
+    _dominoes,
+    _tables,
+    _union,
     dominoes_with_surrounding,
     is_valid_pattern,
     pattern_has_surrounding,
@@ -55,6 +60,56 @@ tile_strategy = st.builds(
 def small_tileset(draw):
     tiles = draw(st.lists(tile_strategy, min_size=1, max_size=4, unique=True))
     return WangTileSet(tiles)
+
+
+def per_bit_union(tiles, over, fits):
+    """Tiles j with fits(tiles[i], tiles[j]) for some i set in ``over``, one bit at a time."""
+    members = [i for i in range(len(tiles)) if over >> i & 1]
+    return reduce(
+        or_,
+        (1 << j for i in members for j, v in enumerate(tiles) if fits(tiles[i], v)),
+        0,
+    )
+
+
+# (chunk tables of a direction, does tile v fit on that side of tile u?)
+DIRECTIONS = [
+    ("right_chunks", lambda u, v: u.right == v.left),
+    ("left_chunks", lambda u, v: u.left == v.right),
+    ("top_chunks", lambda u, v: u.top == v.bottom),
+    ("bottom_chunks", lambda u, v: u.bottom == v.top),
+]
+
+
+class TestUnionTables:
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 24), st.data())
+    def test_matches_per_bit_reference(self, size, data):
+        colors = st.sampled_from("abc")
+        tiles = data.draw(
+            st.lists(
+                st.builds(WangTile, colors, colors, colors, colors),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        tb = _tables(WangTileSet(tiles))
+        over = data.draw(st.integers(0, (1 << size) - 1))
+        for attr, fits in DIRECTIONS:
+            assert _union(getattr(tb, attr), over) == per_bit_union(tiles, over, fits)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 24])
+    def test_chunk_boundaries(self, size):
+        # Distinct tiles whose four colors spell the index in base 3.
+        tiles = [
+            WangTile(*("abc"[k // 3**d % 3] for d in range(4))) for k in range(size)
+        ]
+        tb = _tables(WangTileSet(tiles))
+        assert all(len(chunks) == -(-size // 8) for chunks in (tb.right_chunks, tb.top_chunks))
+        for over in [(1 << size) - 1, 1 << (size - 1), 0] + [1 << i for i in range(size)]:
+            for attr, fits in DIRECTIONS:
+                assert _union(getattr(tb, attr), over) == per_bit_union(tiles, over, fits)
 
 
 class TestSolveRectangle:
@@ -168,6 +223,38 @@ class TestSurroundings:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             pattern_has_surrounding(U, Word2d.letter(0), -1)
+        with pytest.raises(ValueError, match="radius"):
+            dominoes_with_surrounding(U, 2, -1)
+        with pytest.raises(ValueError, match="radius"):
+            patterns_with_surrounding(U, (2, 2), -1)
+
+    @pytest.mark.parametrize("T, direction, top", [(U, 2, 3), (U, 1, 3), (V, 1, 2), (V, 2, 2)])
+    def test_memoized_layer_matches_from_scratch(self, T, direction, top):
+        # Cold cache, highest radius first: the lower radii are filled on the way.
+        _dominoes.cache_clear()
+        layered = {r: dominoes_with_surrounding(T, direction, r) for r in range(top, -1, -1)}
+        for r, got in layered.items():
+            expected = []
+            for i, u in enumerate(T):
+                for j, v in enumerate(T):
+                    if direction == 1 and u.right == v.left:
+                        word = Word2d(((i,), (j,)))
+                    elif direction == 2 and u.top == v.bottom:
+                        word = Word2d(((i, j),))
+                    else:
+                        continue
+                    if pattern_has_surrounding(T, word, r):
+                        expected.append((i, j))
+            assert got == expected, r
+
+    def test_returned_domino_list_is_a_copy(self):
+        first = dominoes_with_surrounding(U, 2, 2)
+        snapshot = list(first)
+        first.clear()
+        again = dominoes_with_surrounding(U, 2, 2)
+        assert again == snapshot and len(again) == 35
+        again.append((99, 99))
+        assert dominoes_with_surrounding(U, 2, 2) == snapshot
 
     def test_determinism(self):
         assert dominoes_with_surrounding(U, 2, 1) == dominoes_with_surrounding(U, 2, 1)
