@@ -4,7 +4,9 @@ A marker set M along an axis is a nonempty proper subset of tiles that never
 touch each other along that axis and never touch the complement along the
 other axis.  Verification is sound because the solver's domino sets
 over-approximate the dominoes of the full shift language: every pair the
-check rules out really is forbidden.
+check rules out really is forbidden.  Only the dominoes that could break a
+condition are asked about, and the candidate search rejects a set at its
+first surviving violation.
 
 Deriving regroups every tiling into supertiles: keep the non-marker tiles
 that can be followed by another non-marker (the singles K), fuse every
@@ -16,11 +18,12 @@ satisfies the letter-level recognizability criterion by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from .core import WangTile, WangTileSet, fuse
 from .morphism import Morphism2d, Word2d, check_recognizability_criterion
-from .solver import dominoes_with_surrounding
+from .solver import domino, dominoes_with_surrounding, surviving_dominoes
 
 
 class MarkerError(ValueError):
@@ -29,6 +32,10 @@ class MarkerError(ValueError):
     def __init__(self, report: "MarkerReport"):
         super().__init__(report.summary())
         self.report = report
+
+
+class DerivationError(ValueError):
+    """The derived set or its morphism failed a construction invariant."""
 
 
 @dataclass(frozen=True)
@@ -80,18 +87,20 @@ def verify_markers(
         raise ValueError("markers must be a nonempty proper subset of the tile indices")
     if any(i < 0 or i >= len(T) for i in M):
         raise ValueError("marker index out of range")
-    other = 2 if direction == 1 else 1
-    same = tuple(
-        (i, j)
-        for i, j in dominoes_with_surrounding(T, direction, radius)
-        if i in M and j in M
-    )
-    cross = tuple(
-        (i, j)
-        for i, j in dominoes_with_surrounding(T, other, radius)
-        if (i in M) != (j in M)
-    )
+    same, cross = map(tuple, _violations(T, M, direction, radius))
     return MarkerReport(not same and not cross, same, cross)
+
+
+def _violations(
+    T: WangTileSet, M: frozenset[int], direction: int, radius: int
+) -> tuple[Iterator[tuple[int, int]], Iterator[tuple[int, int]]]:
+    """The surviving marker-marker dominoes along the axis and marker/non-marker
+    dominoes across it, each lazily and in sorted order."""
+    same = surviving_dominoes(T, direction, radius, lambda i, j: i in M and j in M)
+    cross = surviving_dominoes(
+        T, 3 - direction, radius, lambda i, j: (i in M) != (j in M)
+    )
+    return same, cross
 
 
 def _components(edges: list[tuple[str, str]]) -> list[frozenset[str]]:
@@ -141,7 +150,7 @@ def find_marker_candidates(
         M = frozenset(i for i, (a, b) in enumerate(crossing) if a in chosen and b in chosen)
         if not M or len(M) == len(T):
             continue
-        if verify_markers(T, M, direction, radius):
+        if next(chain(*_violations(T, M, direction, radius)), None) is None:
             out.append(MarkerSet(M, direction))
     out.sort(key=lambda m: (len(m.tile_indices), sorted(m.tile_indices)))
     seen: set[frozenset[int]] = set()
@@ -221,9 +230,10 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
     images: list[Word2d] = [Word2d.letter(i) for i in singles]
     for i, j in fusions:
         fused = fuse(T[i], T[j], direction)
-        assert fused is not None  # pairs come from the domino set
+        if fused is None:
+            raise DerivationError(f"domino {(i, j)} does not match in color")
         tiles.append(fused)
-        images.append(Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),)))
+        images.append(domino(i, j, direction))
     try:
         derived = WangTileSet(tiles)
     except ValueError as e:
@@ -232,7 +242,7 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
         raise ValueError(f"derived tiles collide: {e}") from e
     morphism = Morphism2d(derived, T, tuple(images))
     if tiles and not check_recognizability_criterion(morphism, set(M), direction, "right"):
-        raise AssertionError("derivation produced a non-recognizable morphism")
+        raise DerivationError("derivation produced a non-recognizable morphism")
     return Derivation(
         source=T,
         markers=markers,

@@ -14,15 +14,19 @@ the neighbor masks of every subset of the tiles in that chunk, so a union
 over any candidate set costs one lookup per chunk.  The tables are built
 lazily, on the first query for a tile set.
 
-Domino sets are computed once per (tile set, axis, radius) and kept in a
-small bounded cache; radius r filters the radius r-1 survivors.
+Surroundings are answered one pattern at a time through a memo kept per
+tile set: for each domino or block asked about, the largest radius known to
+survive and the smallest known to fail.  Surroundings are monotone in the
+radius, so a question at radius r solves only the radii still unknown,
+lowest first, and callers such as the marker checks ask only about the pairs
+their answer depends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
+from typing import Callable, Iterator, Literal, Mapping, Optional, Union
 
 from .core import WangTileSet
 from .morphism import Word2d
@@ -321,12 +325,62 @@ def pattern_has_surrounding(T: WangTileSet, pattern: Word2d, radius: int) -> boo
     return bool(solve_rectangle(T, n1 * side, n2 * side, pins, "exists"))
 
 
-def _surrounding_ladder(T: WangTileSet, patterns: Iterable[Word2d], radius: int) -> list[Word2d]:
-    """Filter by increasing radius; monotonicity makes this a pure speedup."""
-    alive = [p for p in patterns if is_valid_pattern(T, p)]
-    for r in range(1, radius + 1):
-        alive = [p for p in alive if pattern_has_surrounding(T, p, r)]
-    return alive
+def domino(i: int, j: int, direction: int) -> Word2d:
+    """The two-tile word with tile j east of tile i (axis 1) or north of it (axis 2)."""
+    return Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),))
+
+
+# Per tile set: pattern -> (largest radius known to survive, smallest radius
+# known to fail or None).  Bounded like _tables, since every fresh relabeling
+# of a tile set gets its own entry; the dict is shared on purpose.
+@lru_cache(maxsize=8)
+def _known(T: WangTileSet) -> dict[Word2d, tuple[int, Optional[int]]]:
+    return {}
+
+
+def _survives(
+    T: WangTileSet, known: dict[Word2d, tuple[int, Optional[int]]], pattern: Word2d, radius: int
+) -> bool:
+    """pattern_has_surrounding through the memo: only the radii between the
+    known bounds are solved, lowest first, and the first failure is final."""
+    alive, dead = known.get(pattern, (-1, None))
+    if radius <= alive:
+        return True
+    if dead is not None and radius >= dead:
+        return False
+    for r in range(alive + 1, radius + 1):
+        if not pattern_has_surrounding(T, pattern, r):
+            known[pattern] = (r - 1, r)
+            return False
+    known[pattern] = (radius, dead)
+    return True
+
+
+def surviving_dominoes(
+    T: WangTileSet,
+    direction: int,
+    radius: int,
+    where: Optional[Callable[[int, int], bool]] = None,
+) -> Iterator[tuple[int, int]]:
+    """Lazily, in sorted order, the color-matching pairs (i, j) along the axis
+    that satisfy ``where`` and extend to a radius-r surrounding.
+
+    Only the pairs that pass ``where`` reach the solver, and only as far as
+    the caller consumes the iterator.
+    """
+    if direction not in (1, 2):
+        raise ValueError("direction must be 1 or 2")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    known = _known(T)
+    return (
+        (i, j)
+        for i, u in enumerate(T)
+        for j, v in enumerate(T)
+        if (u.right == v.left if direction == 1 else u.top == v.bottom)
+        and (where is None or where(i, j))
+        and _survives(T, known, domino(i, j, direction), radius)
+    )
 
 
 def dominoes_with_surrounding(
@@ -334,32 +388,7 @@ def dominoes_with_surrounding(
 ) -> list[tuple[int, int]]:
     """Ordered index pairs (i, j) whose domino along the axis extends to a
     valid rectangle with a ring of ``radius`` domino-copies on every side."""
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return list(_dominoes(T, direction, radius))
-
-
-@lru_cache(maxsize=32)
-def _dominoes(T: WangTileSet, direction: int, radius: int) -> tuple[tuple[int, int], ...]:
-    """Sorted surviving pairs; radius r filters the radius r-1 survivors
-    (surroundings are monotone in the radius)."""
-    if radius == 0:
-        return tuple(
-            (i, j)
-            for i, u in enumerate(T)
-            for j, v in enumerate(T)
-            if (u.right == v.left if direction == 1 else u.top == v.bottom)
-        )
-    survivors = _dominoes(T, direction, radius - 1)
-    return tuple(
-        (i, j)
-        for i, j in survivors
-        if pattern_has_surrounding(
-            T, Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),)), radius
-        )
-    )
+    return list(surviving_dominoes(T, direction, radius))
 
 
 def patterns_with_surrounding(
@@ -372,6 +401,7 @@ def patterns_with_surrounding(
         raise ValueError("shape components must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    base = solve_rectangle(T, w, h, None, "enumerate")
-    assert isinstance(base, list)
-    return sorted(_surrounding_ladder(T, base, radius))
+    known = _known(T)
+    return sorted(
+        p for p in solve_rectangle(T, w, h, None, "enumerate") if _survives(T, known, p, radius)
+    )

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wangtiles import derivation, solver
 from wangtiles.certify import certify
 from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
@@ -82,6 +83,13 @@ class TestOtherSubjects:
         cert = certify(pair, "pair", "auto")
         assert not cert.all_verified()
 
+    def test_failed_derivation_invariant_is_a_failed_step(self, monkeypatch):
+        monkeypatch.setattr(derivation, "check_recognizability_criterion", lambda *a: False)
+        cert = certify(U, "U", "auto")
+        assert not cert.all_verified()
+        assert [s.status for s in cert.steps] == ["fail"]
+        assert "non-recognizable" in cert.steps[0].evidence["error"]
+
     def test_bad_plan_length(self):
         try:
             certify(U, "U", [(2, 2)])
@@ -105,3 +113,21 @@ def test_certificate_matches_golden_bytes(name, plan, golden):
     doc = json.loads(certify(builtin(name).payload, name, plan).to_json())
     del doc["timestamps"]
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == (DATA / golden).read_text()
+
+
+# Exact rectangle-solve counts from a cold surrounding memo: a change that
+# silently recomputes surroundings moves them.
+@pytest.mark.parametrize("name, plan, solves", [("U", "auto", 380), ("V", [(1, 1), (2, 2)], 381)])
+def test_rectangle_solve_count(monkeypatch, name, plan, solves):
+    calls = 0
+    real = solver.solve_rectangle
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_rectangle", counted)
+    solver._known.cache_clear()
+    assert certify(builtin(name).payload, name, plan).all_verified()
+    assert calls == solves

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from wangtiles import derivation
 from wangtiles.cli import main
 from wangtiles.core import parse_tileset
 from wangtiles.corpus import builtin
@@ -93,6 +94,12 @@ class TestDerive:
         doc = json.loads(out)
         assert doc["singles"] == [8, 9, 11, 13, 14, 15, 16, 17]
         assert not doc["degenerate"]
+
+    def test_failed_derivation_invariant_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(derivation, "check_recognizability_criterion", lambda *a: False)
+        code, _, err = run(capsys, "derive", "U", "--dir", "2", "--radius", "2")
+        assert code == 2
+        assert "non-recognizable" in err and "Traceback" not in err
 
 
 class TestIterateAndRender:

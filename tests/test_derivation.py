@@ -12,7 +12,7 @@ from wangtiles.derivation import (
     verify_markers,
 )
 from wangtiles.morphism import Word2d, apply, check_recognizability_criterion
-from wangtiles.solver import patterns_with_surrounding
+from wangtiles.solver import dominoes_with_surrounding, patterns_with_surrounding
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -62,6 +62,60 @@ class TestFindCandidates:
 
     def test_v_has_no_axis2_candidates(self):
         assert find_marker_candidates(V, 2, 2) == []
+
+
+def full_set_report(T, markers, direction, radius):
+    """The marker violations read off the full domino sets of both axes."""
+    same = tuple(
+        (i, j)
+        for i, j in dominoes_with_surrounding(T, direction, radius)
+        if i in markers and j in markers
+    )
+    cross = tuple(
+        (i, j)
+        for i, j in dominoes_with_surrounding(T, 3 - direction, radius)
+        if (i in markers) != (j in markers)
+    )
+    return same, cross
+
+
+def component_unions(T, direction):
+    """Tile sets induced by every nonempty proper union of crossing-color components."""
+    links = [(t.left, t.right) if direction == 2 else (t.bottom, t.top) for t in T]
+    comps: list[set[str]] = []
+    for a, b in links:
+        touching = [c for c in comps if a in c or b in c]
+        merged = {a, b}.union(*touching)
+        comps = [c for c in comps if c not in touching] + [merged]
+    for mask in range(1, (1 << len(comps)) - 1):
+        chosen = set().union(*(c for k, c in enumerate(comps) if mask >> k & 1))
+        yield frozenset(i for i, (a, b) in enumerate(links) if a in chosen and b in chosen)
+
+
+# Three color components on axis 2: {0} and {1} are marker sets, and every
+# other union holds a surviving marker-marker domino.
+THREE_COMPONENTS = parse_tileset("a p a q\nb q b p\nc p c p\n")
+
+
+@pytest.mark.parametrize("T", [U, V, W, THREE_COMPONENTS], ids=["U", "V", "W", "S"])
+@pytest.mark.parametrize("direction", [1, 2])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_marker_checks_match_full_domino_sets(T, direction, radius):
+    unions = [M for M in component_unions(T, direction) if 0 < len(M) < len(T)]
+    expected = sorted(
+        {M for M in unions if full_set_report(T, M, direction, radius) == ((), ())},
+        key=lambda M: (len(M), sorted(M)),
+    )
+    found = find_marker_candidates(T, direction, radius)
+    assert [m.tile_indices for m in found] == expected
+    assert all(m.direction == direction for m in found)
+    # Singletons exercise the cross-axis condition, which component unions never break.
+    for M in unions + [frozenset({i}) for i in range(len(T))]:
+        report = verify_markers(T, M, direction, radius)
+        same, cross = full_set_report(T, M, direction, radius)
+        assert report.same_axis_violations == same
+        assert report.cross_axis_violations == cross
+        assert bool(report) == (not same and not cross)
 
 
 class TestDeriveUToV:

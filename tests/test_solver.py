@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -12,7 +13,7 @@ from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, iterate
 from wangtiles.solver import (
-    _dominoes,
+    _known,
     _tables,
     _union,
     dominoes_with_surrounding,
@@ -24,6 +25,18 @@ from wangtiles.solver import (
 
 U = builtin("U").payload
 V = builtin("V").payload
+
+
+def from_scratch_dominoes(T, direction, radius):
+    """Every ordered pair, each asked afresh of pattern_has_surrounding."""
+    return [
+        (i, j)
+        for i in range(len(T))
+        for j in range(len(T))
+        if pattern_has_surrounding(
+            T, Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),)), radius
+        )
+    ]
 
 
 def brute_force_solutions(tiles, width, height):
@@ -231,21 +244,42 @@ class TestSurroundings:
     @pytest.mark.parametrize("T, direction, top", [(U, 2, 3), (U, 1, 3), (V, 1, 2), (V, 2, 2)])
     def test_memoized_layer_matches_from_scratch(self, T, direction, top):
         # Cold cache, highest radius first: the lower radii are filled on the way.
-        _dominoes.cache_clear()
+        _known.cache_clear()
         layered = {r: dominoes_with_surrounding(T, direction, r) for r in range(top, -1, -1)}
         for r, got in layered.items():
-            expected = []
-            for i, u in enumerate(T):
-                for j, v in enumerate(T):
-                    if direction == 1 and u.right == v.left:
-                        word = Word2d(((i,), (j,)))
-                    elif direction == 2 and u.top == v.bottom:
-                        word = Word2d(((i, j),))
-                    else:
-                        continue
-                    if pattern_has_surrounding(T, word, r):
-                        expected.append((i, j))
-            assert got == expected, r
+            assert got == from_scratch_dominoes(T, direction, r), r
+
+    def test_memo_does_not_depend_on_query_order(self, monkeypatch):
+        expected = {
+            (T, d, r): from_scratch_dominoes(T, d, r)
+            for T in (U, V)
+            for d in (1, 2)
+            for r in range(4)
+        }
+        blocks = solve_rectangle(U, 2, 2, None, "enumerate")
+        expected_blocks = {
+            r: sorted(p for p in blocks if pattern_has_surrounding(U, p, r)) for r in range(3)
+        }
+        solved = []
+        real = pattern_has_surrounding
+
+        def counted(T, pattern, radius):
+            solved.append((T, pattern, radius))
+            return real(T, pattern, radius)
+
+        monkeypatch.setattr("wangtiles.solver.pattern_has_surrounding", counted)
+        ascending = sorted(expected, key=lambda key: key[2])
+        shuffled = list(expected)
+        random.Random(4).shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled):
+            _known.cache_clear()
+            solved.clear()
+            for T, d, r in order:
+                assert dominoes_with_surrounding(T, d, r) == expected[T, d, r], (d, r)
+            for r in (1, 0, 2):
+                assert patterns_with_surrounding(U, (2, 2), r) == expected_blocks[r], r
+            # Each (pattern, radius) is solved at most once from a cold memo.
+            assert len(solved) == len(set(solved))
 
     def test_returned_domino_list_is_a_copy(self):
         first = dominoes_with_surrounding(U, 2, 2)
