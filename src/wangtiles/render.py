@@ -3,6 +3,11 @@
 All renderers are pure string builders: identical inputs give identical
 bytes.  Patterns are drawn in Cartesian orientation (row 0 at the bottom).
 Invalid patterns are still rendered, with the offending edges marked.
+
+Each call formats what depends only on a column, a row or a tile once:
+coordinates per column and per row, colors and tokens per tile.  The loop
+over cells only joins those strings, so a large inflation patch costs little
+more than its output.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -52,7 +57,15 @@ def render_text(
     colors in the cell rows.  A mismatched shared edge is marked with ``X``.
     """
     n1, n2 = pattern.shape
-    bad = set(violations(T, pattern))
+    rows = list(zip(*pattern.columns))
+    # For each row y, the columns x whose edge below or to the west is a mismatch.
+    bad_below: list[list[int]] = [[] for _ in range(n2)]
+    bad_west: list[list[int]] = [[] for _ in range(n2)]
+    for (x, y), (x2, _) in violations(T, pattern):
+        if x2 == x + 1:
+            bad_west[y].append(x2)
+        else:
+            bad_below[y + 1].append(x)
     if ascii_only:
         tl = tr = bl = br = tm = bm = lm = rm = mm = "+"
         hbar = "-"
@@ -61,53 +74,42 @@ def render_text(
         tm, bm, lm, rm, mm = "┬", "┴", "├", "┤", "┼"
         hbar = "─"
 
-    def tile(x: int, y: int):
-        return T[pattern.cell(x, y)]
+    letters = pattern.letters()
+    tokens = {t: [display_token(c) for c in T[t].as_tuple()] for t in letters}
+    names = {t: str(t) if labels == "index" else "" for t in letters}
+    bw = max(max(len(s) for toks in tokens.values() for s in toks), 1)  # vertical border slots
+    cw = max(bw, max(len(s) for s in names.values())) + 2
 
-    tokens = [display_token(c) for t in pattern.letters() for c in T[t].as_tuple()]
-    centers = [str(pattern.cell(x, y)) if labels == "index" else ""
-               for x in range(n1) for y in range(n2)]
-    cw = max(max(len(s) for s in tokens), max(len(s) for s in centers), 1) + 2
-    bw = max(max(len(s) for s in tokens), 1)  # width of the vertical border slots
+    # Per tile: its centered top and bottom colors, label and west separator.
+    top = {t: _center(tokens[t][1], cw, hbar) for t in letters}
+    bottom = {t: _center(tokens[t][3], cw, hbar) for t in letters}
+    label = {t: _center(names[t], cw, " ") for t in letters}
+    west = {t: _center(tokens[t][2], bw, " ") for t in letters}
+    mark_h, mark_v = _center("X", cw, hbar), _center("X", bw, " ")
 
     def border_line(y: int) -> str:
-        cells = []
-        for x in range(n1):
-            if y == n2:
-                color = display_token(tile(x, y - 1).top)
-            elif y == 0:
-                color = display_token(tile(x, 0).bottom)
-            elif ((x, y - 1), (x, y)) in bad:
-                color = "X"
-            else:
-                color = display_token(tile(x, y).bottom)
-            cells.append(_center(color, cw, hbar))
         if y == n2:
+            cells = [top[t] for t in rows[n2 - 1]]
             left, mid, right = tl, tm, tr
-        elif y == 0:
-            left, mid, right = bl, bm, br
         else:
-            left, mid, right = lm, mm, rm
+            cells = [bottom[t] for t in rows[y]]
+            for x in bad_below[y]:
+                cells[x] = mark_h
+            left, mid, right = (bl, bm, br) if y == 0 else (lm, mm, rm)
         joiner = _center(mid, bw, hbar)
         return left + hbar * (bw - 1) + joiner.join(cells) + hbar * (bw - 1) + right
 
     def body_line(y: int) -> str:
-        seps = []
-        for x in range(n1 + 1):
-            if x == 0:
-                seps.append(display_token(tile(0, y).left))
-            elif x == n1:
-                seps.append(display_token(tile(n1 - 1, y).right))
-            elif ((x - 1, y), (x, y)) in bad:
-                seps.append("X")
-            else:
-                seps.append(display_token(tile(x, y).left))
-        body = seps[0].ljust(bw)
-        for x in range(n1 - 1):
-            label = str(pattern.cell(x, y)) if labels == "index" else ""
-            body += _center(label, cw, " ") + _center(seps[x + 1], bw, " ")
-        label = str(pattern.cell(n1 - 1, y)) if labels == "index" else ""
-        return body + _center(label, cw, " ") + seps[n1].rjust(bw)
+        row = rows[y]
+        seps = [west[t] for t in row[1:]]  # seps[x - 1] lies between columns x - 1 and x
+        for x in bad_west[y]:
+            seps[x - 1] = mark_v
+        return (
+            tokens[row[0]][2].ljust(bw)
+            + "".join(label[t] + sep for t, sep in zip(row, seps))
+            + label[row[-1]]
+            + tokens[row[-1]][0].rjust(bw)
+        )
 
     lines = []
     for y in range(n2, -1, -1):
@@ -123,9 +125,12 @@ def _palette_for(T: WangTileSet, pattern: Word2d) -> dict[str, str]:
 
 
 def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
-    """SVG 1.1 document; each cell shows four colored edge triangles."""
+    """SVG 1.1 document; each cell shows four colored edge triangles.
+
+    Every coordinate depends only on a cell's column or its row, so each is
+    formatted once per column or row and cells only join those strings.
+    """
     n1, n2 = pattern.shape
-    bad = set(violations(T, pattern))
     colors = _palette_for(T, pattern)
     s = SVG_CELL
     W, H = n1 * s, n2 * s
@@ -134,48 +139,42 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(W)}" height="{_fmt(H)}" viewBox="0 0 {_fmt(W)} {_fmt(H)}">',
     ]
-    for x in range(n1):
-        for y in range(n2):
-            t = T[pattern.cell(x, y)]
-            x0, y0 = x * s, (n2 - 1 - y) * s
-            cx, cy = x0 + s / 2, y0 + s / 2
-            corners = {
-                "bl": (x0, y0 + s), "br": (x0 + s, y0 + s),
-                "tl": (x0, y0), "tr": (x0 + s, y0),
-            }
-            tris = (
-                (t.right, corners["br"], corners["tr"]),
-                (t.top, corners["tl"], corners["tr"]),
-                (t.left, corners["bl"], corners["tl"]),
-                (t.bottom, corners["bl"], corners["br"]),
-            )
-            for color, p1, p2 in tris:
-                out.append(
-                    f'<polygon points="{_fmt(p1[0])},{_fmt(p1[1])} {_fmt(cx)},{_fmt(cy)} '
-                    f'{_fmt(p2[0])},{_fmt(p2[1])}" fill="{colors[color]}" stroke="none"/>'
-                )
+    # Near edge, far edge, center, and the two label offsets of each column
+    # (left to right) and each row (top of the row down).
+    xs = [_svg_span(x * s, s) for x in range(n1)]
+    ys = [_svg_span((n2 - 1 - y) * s, s) for y in range(n2)]
+    fills = {}
+    for a in pattern.letters():
+        t = T[a]
+        fills[a] = (colors[t.right], colors[t.top], colors[t.left], colors[t.bottom])
+    size, centered = _fmt(s), 'text-anchor="middle" dominant-baseline="middle"'
+    if labels == "index":
+        label_size = _fmt(s / 4)
+    else:
+        label_size = _fmt(s / 5)
+        tokens = {a: [display_token(c) for c in T[a].as_tuple()] for a in fills}
+    for column, (x0, x1, cx, x85, x15) in zip(pattern.columns, xs):
+        for a, (y0, y1, cy, y85, y15) in zip(column, ys):
+            right, top, left, bottom = fills[a]
             out.append(
-                f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(s)}" height="{_fmt(s)}" '
+                f'<polygon points="{x1},{y1} {cx},{cy} {x1},{y0}" fill="{right}" stroke="none"/>\n'
+                f'<polygon points="{x0},{y0} {cx},{cy} {x1},{y0}" fill="{top}" stroke="none"/>\n'
+                f'<polygon points="{x0},{y1} {cx},{cy} {x0},{y0}" fill="{left}" stroke="none"/>\n'
+                f'<polygon points="{x0},{y1} {cx},{cy} {x1},{y1}" fill="{bottom}" stroke="none"/>\n'
+                f'<rect x="{x0}" y="{y0}" width="{size}" height="{size}" '
                 f'fill="none" stroke="black" stroke-width="1"/>'
             )
             if labels == "index":
-                out.append(
-                    f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="{_fmt(s / 4)}" '
-                    f'text-anchor="middle" dominant-baseline="middle">{pattern.cell(x, y)}</text>'
-                )
+                out.append(f'<text x="{cx}" y="{cy}" font-size="{label_size}" {centered}>{a}</text>')
             else:
-                for color, px, py in (
-                    (t.right, x0 + 0.85 * s, cy),
-                    (t.top, cx, y0 + 0.15 * s),
-                    (t.left, x0 + 0.15 * s, cy),
-                    (t.bottom, cx, y0 + 0.85 * s),
-                ):
-                    out.append(
-                        f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{_fmt(s / 5)}" '
-                        f'text-anchor="middle" dominant-baseline="middle">'
-                        f"{display_token(color)}</text>"
-                    )
-    for (x1c, y1c), (x2c, y2c) in sorted(bad):
+                right, top, left, bottom = tokens[a]
+                out.append(
+                    f'<text x="{x85}" y="{cy}" font-size="{label_size}" {centered}>{right}</text>\n'
+                    f'<text x="{cx}" y="{y15}" font-size="{label_size}" {centered}>{top}</text>\n'
+                    f'<text x="{x15}" y="{cy}" font-size="{label_size}" {centered}>{left}</text>\n'
+                    f'<text x="{cx}" y="{y85}" font-size="{label_size}" {centered}>{bottom}</text>'
+                )
+    for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
         if x2c == x1c + 1:  # shared vertical edge
             ex, ey1, ey2 = x2c * s, (n2 - 1 - y1c) * s, (n2 - y1c) * s
             out.append(
@@ -192,22 +191,18 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     return "\n".join(out) + "\n"
 
 
+def _svg_span(v0: float, s: float) -> tuple[str, str, str, str, str]:
+    """Formatted v0, v0 + s, v0 + s/2, v0 + 0.85s and v0 + 0.15s."""
+    return (_fmt(v0), _fmt(v0 + s), _fmt(v0 + s / 2), _fmt(v0 + 0.85 * s), _fmt(v0 + 0.15 * s))
+
+
 def render_tikz(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """Standalone tikzpicture with one unit square per cell."""
     n1, n2 = pattern.shape
-    bad = set(violations(T, pattern))
     out = ["\\begin{tikzpicture}[scale=1.0]", "\\tikzstyle{every node}=[font=\\tiny]"]
-    for x in range(n1):
-        for y in range(n2):
-            t = T[pattern.cell(x, y)]
-            out.append(f"\\draw ({x}, {y}) rectangle ({x + 1}, {y + 1});")
-            if labels == "index":
-                out.append(f"\\node at ({x}.5, {y}.5) {{{pattern.cell(x, y)}}};")
-            out.append(f"\\node at ({x}.8, {y}.5) {{{display_token(t.right)}}};")
-            out.append(f"\\node at ({x}.5, {y}.8) {{{display_token(t.top)}}};")
-            out.append(f"\\node at ({x}.2, {y}.5) {{{display_token(t.left)}}};")
-            out.append(f"\\node at ({x}.5, {y}.2) {{{display_token(t.bottom)}}};")
-    for (x1c, y1c), (x2c, y2c) in sorted(bad):
+    out.extend(_tikz_cells(T, pattern, [_tikz_span(x) for x in range(n1)],
+                           [_tikz_span(y) for y in range(n2)], labels == "index"))
+    for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
         if x2c == x1c + 1:
             out.append(f"\\draw[red, very thick] ({x2c}, {y1c}) -- ({x2c}, {y1c + 1});")
         else:
@@ -234,19 +229,38 @@ def render(
     raise ValueError(f"unknown format {format!r}")
 
 
-def _tikz_cells(T: WangTileSet, pattern: Word2d, ox: float, oy: float) -> list[str]:
+def _tikz_span(v: int) -> tuple[str, str, str, str, str]:
+    """Integer coordinates v, v + 1, v.5, v.8 and v.2 as render_tikz writes them."""
+    return (f"{v}", f"{v + 1}", f"{v}.5", f"{v}.8", f"{v}.2")
+
+
+def _tikz_offset_span(v: float) -> tuple[str, str, str, str, str]:
+    """Float coordinates v, v + 1, v + 0.5, v + 0.8 and v + 0.2 of a morphism table."""
+    return (f"{v}", f"{v + 1}", f"{v + 0.5}", f"{v + 0.8}", f"{v + 0.2}")
+
+
+def _tikz_cells(
+    T: WangTileSet,
+    pattern: Word2d,
+    xs: list[tuple[str, ...]],
+    ys: list[tuple[str, ...]],
+    index: bool,
+) -> list[str]:
+    """A rectangle and its four edge colors per cell, from formatted column and row spans."""
+    tokens = {a: [display_token(c) for c in T[a].as_tuple()] for a in pattern.letters()}
     out = []
-    n1, n2 = pattern.shape
-    for x in range(n1):
-        for y in range(n2):
-            t = T[pattern.cell(x, y)]
-            px, py = ox + x, oy + y
-            out.append(f"\\draw ({px}, {py}) rectangle ({px + 1}, {py + 1});")
-            out.append(f"\\node at ({px + 0.5}, {py + 0.5}) {{{pattern.cell(x, y)}}};")
-            out.append(f"\\node at ({px + 0.8}, {py + 0.5}) {{{display_token(t.right)}}};")
-            out.append(f"\\node at ({px + 0.5}, {py + 0.8}) {{{display_token(t.top)}}};")
-            out.append(f"\\node at ({px + 0.2}, {py + 0.5}) {{{display_token(t.left)}}};")
-            out.append(f"\\node at ({px + 0.5}, {py + 0.2}) {{{display_token(t.bottom)}}};")
+    for column, (x0, x1, cx, x8, x2) in zip(pattern.columns, xs):
+        for a, (y0, y1, cy, y8, y2) in zip(column, ys):
+            right, top, left, bottom = tokens[a]
+            out.append(f"\\draw ({x0}, {y0}) rectangle ({x1}, {y1});")
+            if index:
+                out.append(f"\\node at ({cx}, {cy}) {{{a}}};")
+            out.append(
+                f"\\node at ({x8}, {cy}) {{{right}}};\n"
+                f"\\node at ({cx}, {y8}) {{{top}}};\n"
+                f"\\node at ({x2}, {cy}) {{{left}}};\n"
+                f"\\node at ({cx}, {y2}) {{{bottom}}};"
+            )
     return out
 
 
@@ -269,12 +283,16 @@ def render_morphism(m: Morphism2d, format: str = "text") -> str:
                 parts.append(f"{lhs[i]:<{width}}{arrow}{rhs[i]}")
             parts.append("")
         elif format == "tikz":
+            n1, n2 = im.shape
+            origin = [_tikz_offset_span(0.0)]
             parts.append(f"% letter {a}")
             parts.append("\\begin{tikzpicture}[scale=0.9]")
             parts.append("\\tikzstyle{every node}=[font=\\tiny]")
-            parts.extend(_tikz_cells(m.domain, Word2d.letter(a), 0.0, 0.0))
+            parts.extend(_tikz_cells(m.domain, Word2d.letter(a), origin, origin, True))
             parts.append("\\node at (1.5, 0.5) {$\\mapsto$};")
-            parts.extend(_tikz_cells(m.codomain, im, 2.0, 0.0))
+            xs = [_tikz_offset_span(2.0 + x) for x in range(n1)]
+            ys = [_tikz_offset_span(float(y)) for y in range(n2)]
+            parts.extend(_tikz_cells(m.codomain, im, xs, ys, True))
             parts.append("\\end{tikzpicture}")
         else:
             raise ValueError(f"unknown morphism format {format!r}")
@@ -329,21 +347,18 @@ def stone_render(
     produced by inflation; otherwise a GeometryError names the first bad
     cell.
     """
-    n1, n2 = pattern.shape
     col_w: list[GoldenNumber] = []
     row_h: list[GoldenNumber] = []
-    for x in range(n1):
-        w0 = geometry.widths[pattern.cell(x, 0)]
-        for y in range(1, n2):
-            if geometry.widths[pattern.cell(x, y)] != w0:
-                raise GeometryError(f"cell ({x},{y}) width differs from cell ({x},0)")
-        col_w.append(w0)
-    for y in range(n2):
-        h0 = geometry.heights[pattern.cell(0, y)]
-        for x in range(1, n1):
-            if geometry.heights[pattern.cell(x, y)] != h0:
-                raise GeometryError(f"cell ({x},{y}) height differs from cell (0,{y})")
-        row_h.append(h0)
+    for x, column in enumerate(pattern.columns):
+        y = _first_mismatch(geometry.widths, column)
+        if y is not None:
+            raise GeometryError(f"cell ({x},{y}) width differs from cell ({x},0)")
+        col_w.append(geometry.widths[column[0]])
+    for y, row in enumerate(zip(*pattern.columns)):
+        x = _first_mismatch(geometry.heights, row)
+        if x is not None:
+            raise GeometryError(f"cell ({x},{y}) height differs from cell (0,{y})")
+        row_h.append(geometry.heights[row[0]])
 
     xs = [GoldenNumber(0, 0)]
     for w in col_w:
@@ -362,21 +377,31 @@ def stone_render(
     ]
     if level is not None:
         out.append(f"<!-- inflation level {level} -->")
-    for x in range(n1):
-        for y in range(n2):
-            px = float(xs[x]) * scale
-            pw = float(col_w[x]) * scale
-            ph = float(row_h[y]) * scale
-            py = (total_h - float(ys[y + 1])) * scale
+    # Position, size and center of each column and each row, as floats and as text.
+    cols = [(float(xs[x]) * scale, float(w) * scale) for x, w in enumerate(col_w)]
+    rows = [((total_h - float(ys[y + 1])) * scale, float(h) * scale) for y, h in enumerate(row_h)]
+    col_text = [(_fmt(px), _fmt(pw), _fmt(px + pw / 2), pw) for px, pw in cols]
+    row_text = [(_fmt(py), _fmt(ph), _fmt(py + ph / 2), ph) for py, ph in rows]
+    widths, heights = {pw for _, pw in cols}, {ph for _, ph in rows}
+    font = {(pw, ph): _fmt(min(pw, ph) / 3) for pw in widths for ph in heights}
+    for column, (px, pw, cx, w) in zip(pattern.columns, col_text):
+        for a, (py, ph, cy, h) in zip(column, row_text):
             out.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
-                f'height="{_fmt(ph)}" fill="none" stroke="black" stroke-width="1"/>'
+                f'<rect x="{px}" y="{py}" width="{pw}" '
+                f'height="{ph}" fill="none" stroke="black" stroke-width="1"/>'
             )
             if labels == "index":
                 out.append(
-                    f'<text x="{_fmt(px + pw / 2)}" y="{_fmt(py + ph / 2)}" '
-                    f'font-size="{_fmt(min(pw, ph) / 3)}" text-anchor="middle" '
-                    f'dominant-baseline="middle">{pattern.cell(x, y)}</text>'
+                    f'<text x="{cx}" y="{cy}" '
+                    f'font-size="{font[w, h]}" text-anchor="middle" '
+                    f'dominant-baseline="middle">{a}</text>'
                 )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _first_mismatch(sizes: tuple[GoldenNumber, ...], line: tuple[int, ...]) -> Optional[int]:
+    """Position of the first tile in the line whose size differs from the first tile's."""
+    first = sizes[line[0]]
+    odd = {a for a in set(line) if sizes[a] != first}
+    return next((i for i, a in enumerate(line) if a in odd), None) if odd else None

@@ -47,16 +47,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in row] for row in self.rows])
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
@@ -65,26 +55,11 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))
 
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for row in self.rows for a in row)
-
-    def is_positive(self) -> bool:
-        return all(a > 0 for row in self.rows for a in row)
 
 
 class IntPolynomial:
@@ -134,12 +109,7 @@ class IntPolynomial:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for numbers and IntMatrix."""
-        if isinstance(x, IntMatrix):
-            acc = IntMatrix.identity(x.n).scale(0)
-            for c in reversed(self.coeffs):
-                acc = (acc @ x) + IntMatrix.identity(x.n).scale(c)
-            return acc
+        """Evaluate at a number by Horner's rule."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -451,16 +421,21 @@ def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[lis
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if pivot is None:
+        # Every nonzero pivot leads to the same reduced echelon form, hence to
+        # the same vector; the sparsest row creates the least fill-in.
+        candidates = [i for i in range(r, n) if not rows[i][c].is_zero()]
+        if not candidates:
             continue
+        pivot = min(candidates, key=lambda i: sum(not x.is_zero() for x in rows[i]))
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        # Zeros are skipped: 0 / inv is 0 and x - f * 0 is x, both already in
+        # lowest terms, and most entries of an incidence matrix are zero.
+        rows[r] = [x if x.is_zero() else x / inv for x in rows[r]]
         for i in range(n):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append((r, c))
         r += 1
     if r == n:
@@ -481,7 +456,9 @@ def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRat
     raises, it never returns an unverified guess.
     """
     value, _, _ = perron(M)
-    lam = recognize_golden(value)
+    # If lam = a + b*phi is an eigenvalue of the integer matrix M, so is its
+    # conjugate lam', and |lam'| <= lam; hence |b|*sqrt(5) = |lam - lam'| <= 2*lam.
+    lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
     if lam is None:
         raise ValueError(f"dominant eigenvalue {value} not recognized in Z[phi]")
     kernel = golden_kernel_vector(M, lam)
@@ -509,38 +486,3 @@ def frequencies(m) -> tuple[list[GoldenRational], list[float]]:
     _, exact = exact_perron_frequencies(incidence_matrix(m))
     return exact, [float(f) for f in exact]
 
-
-def largest_real_root(
-    p: IntPolynomial, lo: float = 0.0, hi: Optional[float] = None, tol: float = 1e-12
-) -> float:
-    """Largest real root of p in [lo, hi] by sign-change bisection.
-
-    Used as an independent cross-check of the power iteration: scans down from
-    hi for the first interval with a sign change.
-    """
-    if hi is None:
-        # Cauchy bound
-        lead = abs(p.coeffs[-1])
-        hi = 1 + max(abs(c) for c in p.coeffs) / lead
-    steps = 4000
-    prev_x, prev_v = hi, p(hi)
-    for k in range(1, steps + 1):
-        x = hi - (hi - lo) * k / steps
-        v = p(x)
-        if v == 0:
-            return x
-        if (v < 0) != (prev_v < 0):
-            a, b = x, prev_x
-            fa = v
-            while b - a > tol:
-                m = (a + b) / 2
-                fm = p(m)
-                if fm == 0:
-                    return m
-                if (fm < 0) == (fa < 0):
-                    a, fa = m, fm
-                else:
-                    b = m
-            return (a + b) / 2
-        prev_x, prev_v = x, v
-    raise ValueError("no real root found in range")

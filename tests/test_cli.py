@@ -188,6 +188,21 @@ class TestSpectralCommand:
         assert code == 0
         assert "primitivity exponent: None" in out
 
+    def test_sixth_power_of_omega_has_exact_frequencies(self, capsys, tmp_path):
+        # Its Perron root phi^12 = 89 + 144*phi lies past a fixed |b| <= 64 search.
+        from wangtiles.morphism import compose
+
+        omega = builtin("omega").payload
+        m = omega
+        for _ in range(5):
+            m = compose(omega, m)
+        table = tmp_path / "omega6.json"
+        table.write_text(json.dumps(m.to_json_table()))
+        code, out, _ = run(capsys, "spectral", str(table), "--domain", "U", "--codomain", "U")
+        assert code == 0
+        assert "exact eigenvalue: 89 + 144*phi" in out
+        assert "unavailable" not in out
+
 
 class TestCorpusExport:
     def test_tileset_roundtrip(self, capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from wangtiles.corpus import builtin
@@ -16,6 +19,19 @@ from wangtiles.spectral import GoldenNumber
 U = builtin("U").payload
 omega = builtin("omega").payload
 GEO = stone_geometry_u()
+
+_RECORDER = Path(__file__).parent / "data" / "record_renders.py"
+_spec = importlib.util.spec_from_file_location("record_renders", _RECORDER)
+recorded = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorded)
+
+
+@pytest.mark.parametrize("name", sorted(recorded.CASES))
+def test_render_matches_golden_bytes(name):
+    # The recorded bytes are the reference; re-record them only for an
+    # intended change of output (see data/record_renders.py).
+    expected = (recorded.RENDERS / name).read_bytes()
+    assert recorded.CASES[name]().encode("utf-8") == expected
 
 
 class TestTextRender:

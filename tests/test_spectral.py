@@ -21,7 +21,6 @@ from wangtiles.spectral import (
     exact_perron_frequencies,
     golden_eigencheck,
     golden_kernel_vector,
-    largest_real_root,
     perron,
     recognize_golden,
 )
@@ -55,6 +54,63 @@ def charpoly_by_determinant(rows):
     return total
 
 
+def mat_pow(M, k):
+    """M**k by repeated squaring (k >= 0)."""
+    result = IntMatrix.identity(M.n)
+    base = M
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base
+        k >>= 1
+    return result
+
+
+def poly_at_matrix(p, M):
+    """p(M) by Horner's rule over integer matrices."""
+    n = M.n
+    acc = IntMatrix([[0] * n for _ in range(n)])
+    for c in reversed(p.coeffs):
+        acc = acc @ M
+        acc = IntMatrix([[a + (c if i == j else 0) for j, a in enumerate(row)]
+                         for i, row in enumerate(acc.rows)])
+    return acc
+
+
+def largest_real_root(p, lo=0.0, hi=None, tol=1e-12):
+    """Largest real root of p in [lo, hi] by sign-change bisection.
+
+    An independent cross-check of the power iteration: scans down from hi
+    for the first interval with a sign change.
+    """
+    if hi is None:
+        # Cauchy bound
+        lead = abs(p.coeffs[-1])
+        hi = 1 + max(abs(c) for c in p.coeffs) / lead
+    steps = 4000
+    prev_x, prev_v = hi, p(hi)
+    for k in range(1, steps + 1):
+        x = hi - (hi - lo) * k / steps
+        v = p(x)
+        if v == 0:
+            return x
+        if (v < 0) != (prev_v < 0):
+            a, b = x, prev_x
+            fa = v
+            while b - a > tol:
+                m = (a + b) / 2
+                fm = p(m)
+                if fm == 0:
+                    return m
+                if (fm < 0) == (fa < 0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            return (a + b) / 2
+        prev_x, prev_v = x, v
+    raise ValueError("no real root found in range")
+
+
 class TestIntMatrix:
     def test_rectangular_allowed_square_required_for_n(self):
         m = IntMatrix([[1, 2, 3], [4, 5, 6]])
@@ -64,7 +120,7 @@ class TestIntMatrix:
 
     def test_matmul_and_pow(self):
         fib = IntMatrix([[0, 1], [1, 1]])
-        assert (fib**10)[0][1] == 55
+        assert mat_pow(fib, 10)[0][1] == 55
 
     def test_ragged_refused(self):
         with pytest.raises(ValueError):
@@ -96,7 +152,7 @@ class TestCharPoly:
             n = rng.randint(1, 6)
             M = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             zero = IntMatrix([[0] * n for _ in range(n)])
-            assert char_poly(M)(M) == zero
+            assert poly_at_matrix(char_poly(M), M) == zero
 
 
 class TestPerron:
@@ -237,6 +293,14 @@ class TestExactFrequencies:
         assert total == GoldenRational.of(GOLDEN_ONE)
         assert all(float(f) > 0 for f in freqs)
 
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_higher_powers_of_omega(self, k):
+        # The Perron root phi^(2k) has b = F(2k) > 64: 144 for k = 6, 377 for k = 7.
+        M = incidence_matrix(builtin("omega").payload)
+        lam, freqs = exact_perron_frequencies(mat_pow(M, k))
+        assert lam == PHI ** (2 * k)
+        assert freqs == exact_perron_frequencies(M)[1]
+
     def test_morphism_level_wrapper(self):
         from wangtiles.spectral import frequencies
 
@@ -245,3 +309,131 @@ class TestExactFrequencies:
         assert decimal[0] == pytest.approx(float(exact[0]))
         with pytest.raises(ValueError):
             frequencies(builtin("gamma").payload)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _relabeled_power(k, seed):
+    """P M^k P^T for omega's incidence matrix M and a seeded permutation P."""
+    Mk = mat_pow(incidence_matrix(builtin("omega").payload), k)
+    n = Mk.n
+    perm = random.Random(seed).sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = Mk[i][j]
+    return IntMatrix(rows)
+
+
+def _random_primitive(rng, n):
+    """A random nonnegative n x n matrix, primitive by Wielandt's bound."""
+    import sympy
+
+    while True:
+        rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        if all(a > 0 for a in sympy.Matrix(rows) ** ((n - 1) ** 2 + 1)):
+            return IntMatrix(rows)
+
+
+class TestAgainstSympy:
+    """char_poly, golden_kernel_vector and exact_perron_frequencies against
+    sympy's charpoly and its nullspace over the field Q(sqrt 5)."""
+
+    @pytest.fixture(autouse=True)
+    def field(self, sympy):
+        self.sp = sympy
+        self.K = sympy.QQ.algebraic_field(sympy.sqrt(5))
+        self.sqrt5 = self.K.from_sympy(sympy.sqrt(5))
+
+    def to_field(self, g):
+        """A GoldenNumber or GoldenRational as an element of sympy's Q(sqrt 5):
+        (a + b*phi)/d = (2a + b)/(2d) + b/(2d) * sqrt(5)."""
+        num, den = (g.num, g.den) if isinstance(g, GoldenRational) else (g, 1)
+        QQ, K = self.sp.QQ, self.K
+        rational, irrational = QQ(2 * num.a + num.b, 2 * den), QQ(num.b, 2 * den)
+        return K.convert(rational) + K.convert(irrational) * self.sqrt5
+
+    def to_golden(self, r):
+        """An algebraic integer p + q*sqrt(5) of sympy's as (p - q) + 2q*phi."""
+        r = self.sp.expand(r)
+        q = r.coeff(self.sp.sqrt(5))
+        p = r - q * self.sp.sqrt(5)
+        return GoldenNumber(int(p - q), int(2 * q))
+
+    def check_char_poly(self, M):
+        expected = self.sp.Matrix(M.rows).charpoly().all_coeffs()
+        assert list(char_poly(M).coeffs) == [int(c) for c in reversed(expected)]
+
+    def check_kernel(self, M, lam):
+        """golden_kernel_vector(M, lam) is None exactly when sympy's kernel of
+        M - lam*I is trivial; otherwise it spans that kernel when the kernel
+        is a line, and lies in it when it is larger.  Returns the vector in
+        Q(sqrt 5)."""
+        from sympy.polys.matrices import DomainMatrix
+
+        K, n = self.K, M.n
+        entries = [[K.convert(a) for a in row] for row in M.rows]
+        lam_k = self.to_field(lam)
+        shifted = [[a - lam_k if i == j else a for j, a in enumerate(row)]
+                   for i, row in enumerate(entries)]
+        basis = DomainMatrix(shifted, (n, n), K).nullspace().to_Matrix().tolist()
+        ours = golden_kernel_vector(M, lam)
+        if not basis:
+            assert ours is None
+            return None
+        assert ours is not None
+        v = [self.to_field(q) for q in ours]
+        f = next(i for i in range(n) if v[i] != K.zero)
+        if len(basis) == 1:
+            w = [K.from_sympy(e) for e in basis[0]]
+            assert all(v[i] * w[f] == w[i] * v[f] for i in range(n))
+        else:
+            for row in shifted:
+                assert sum((a * e for a, e in zip(row, v)), K.zero) == K.zero
+        return v
+
+    def check_frequencies(self, M, lam, freqs):
+        v = self.check_kernel(M, lam)
+        total = sum(v, self.K.zero)
+        assert [self.to_field(q) for q in freqs] == [e / total for e in v]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_relabeled_powers_of_omega(self, k):
+        M = _relabeled_power(k, seed=1000 + k)
+        self.check_char_poly(M)
+        lam, freqs = exact_perron_frequencies(M)
+        assert lam == PHI ** (2 * k)
+        self.check_frequencies(M, lam, freqs)
+
+    def test_small_random_primitive_matrices(self):
+        from sympy.polys.polyerrors import CoercionFailed
+
+        rng = random.Random(2024)
+        golden_top = other_top = 0
+        while golden_top < 12 or other_top < 12:
+            M = _random_primitive(rng, rng.randint(2, 4))
+            self.check_char_poly(M)
+            roots = self.sp.Matrix(M.rows).charpoly().real_roots()
+            in_ring = {}
+            for r in set(roots):
+                try:
+                    self.K.from_sympy(r)
+                except CoercionFailed:
+                    continue
+                in_ring[r] = self.to_golden(r)
+            for g in in_ring.values():
+                self.check_kernel(M, g)
+                self.check_kernel(M, g + GOLDEN_ONE + GOLDEN_ONE)
+            top = max(roots)
+            if top in in_ring:
+                golden_top += 1
+                lam, freqs = exact_perron_frequencies(M)
+                assert lam == in_ring[top]
+                self.check_frequencies(M, lam, freqs)
+            else:
+                other_top += 1
+                with pytest.raises(ValueError):
+                    exact_perron_frequencies(M)
