@@ -7,6 +7,13 @@ letter-recognizable, and that its 2x2 factor language exhausts the 2x2
 patterns the solver admits.  Conclusions are only ever claimed from verified
 premises; a failing step leaves the remaining flags false rather than
 guessing.
+
+Each derivation step is one derive() call.  A planned step (direction,
+radius) takes the first verified marker candidate there.  The auto plan
+tries e2 then e1 with radii 1..3 and takes the first candidate whose
+regrouping is stable: the singles and fusions read off the radius r+1
+dominoes equal those of the derivation at radius r.  Stability compares
+only those two tuples, so no second derivation is built.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 from . import __version__
 from .core import WangTileSet, check_equivalence
-from .derivation import Derivation, MarkerSet, derive, find_marker_candidates
+from .derivation import Derivation, derive, find_marker_candidates, regroup
 from .morphism import (
     Morphism2d,
     Word2d,
@@ -78,56 +85,63 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _derivation_key(d: Derivation) -> tuple:
-    return (d.singles, d.fusions)
-
-
-def _auto_step(T: WangTileSet) -> Optional[tuple[MarkerSet, int, Derivation]]:
-    """First stabilizing derivation, trying e2 then e1 with radii 1..3.
-
-    A derivation stabilizes when raising the radius by one no longer changes
-    the singles or the fusion pairs.
-    """
-    for direction in AUTO_DIRECTIONS:
-        for radius in range(1, AUTO_MAX_RADIUS + 1):
-            for markers in find_marker_candidates(T, direction, radius):
-                d = derive(T, markers, radius)
-                d_next = derive(T, markers, radius + 1)
-                if _derivation_key(d) == _derivation_key(d_next):
-                    return markers, radius, d
+def _step(T: WangTileSet, spec: Optional[tuple[int, int]]) -> Optional[Derivation]:
+    """The derivation for one plan entry (None: auto), by the rule in the module
+    docstring, or None when no candidate qualifies."""
+    if spec is None:
+        tries = [(e, r) for e in AUTO_DIRECTIONS for r in range(1, AUTO_MAX_RADIUS + 1)]
+    else:
+        tries = [spec]
+    for direction, radius in tries:
+        for markers in find_marker_candidates(T, direction, radius):
+            d = derive(T, markers, radius)
+            if spec is not None or regroup(T, markers, radius + 1) == (d.singles, d.fusions):
+                return d
     return None
 
 
-def _planned_step(T: WangTileSet, direction: int, radius: int) -> Optional[tuple[MarkerSet, int, Derivation]]:
-    candidates = find_marker_candidates(T, direction, radius)
-    if not candidates:
-        return None
-    markers = candidates[0]
-    return markers, radius, derive(T, markers, radius)
-
-
 def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Certificate:
-    """Run the certification pipeline; never raises on well-formed input."""
-    cert = Certificate(subject=subject, started=_now())
+    """Run the certification pipeline; never raises on well-formed input.
 
+    A malformed plan raises ValueError before any work is done.
+    """
     if plan == "auto":
-        step_specs: list[Optional[tuple[int, int]]] = [None, None]
+        steps: list[Optional[tuple[int, int]]] = [None, None]
     else:
-        step_specs = list(plan)  # type: ignore[arg-type]
-        if len(step_specs) != 2:
+        steps = list(plan)  # type: ignore[arg-type]
+        if len(steps) != 2:
             raise ValueError("a certification plan needs exactly two derivation steps")
+        for entry in steps:
+            if not (
+                isinstance(entry, (tuple, list))
+                and len(entry) == 2
+                and all(type(v) is int for v in entry)
+                and entry[0] in (1, 2)
+                and entry[1] >= 0
+            ):
+                raise ValueError(
+                    f"bad plan entry {entry!r}: expected (direction, radius) with"
+                    " direction 1 or 2 and an integer radius >= 0"
+                )
+    cert = Certificate(subject=subject, started=_now())
+    _run(T, steps, cert)
+    cert.finished = _now()
+    return cert
 
+
+def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate) -> None:
+    """Append each step to the certificate, stopping at the first that fails."""
     derivations: list[Derivation] = []
     current = T
-    for k, spec in enumerate(step_specs, start=1):
+    for k, spec in enumerate(steps, start=1):
         try:
-            found = _auto_step(current) if spec is None else _planned_step(current, *spec)
+            d = _step(current, spec)
         except ValueError as e:  # e.g. colliding derived tiles on degenerate input
-            found = None
+            d = None
             error: Optional[str] = str(e)
         else:
             error = None
-        if found is None:
+        if d is None:
             evidence: dict = {"plan": "auto" if spec is None else list(spec)}
             if error:
                 evidence["error"] = error
@@ -138,9 +152,8 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
                     status="fail",
                 )
             )
-            cert.finished = _now()
-            return cert
-        markers, radius, d = found
+            return
+        markers = d.markers
         recognizable = check_recognizability_criterion(
             d.morphism, set(markers.tile_indices), markers.direction, "right"
         )
@@ -149,7 +162,7 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
                 claim=f"derivation step {k}: markers verified and morphism recognizable",
                 evidence={
                     "direction": markers.direction,
-                    "radius": radius,
+                    "radius": d.radius,
                     "markers": sorted(markers.tile_indices),
                     "derivedSize": len(d.derived),
                     "singles": list(d.singles),
@@ -160,8 +173,7 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
             )
         )
         if not recognizable or d.degenerate:
-            cert.finished = _now()
-            return cert
+            return
         derivations.append(d)
         current = d.derived
 
@@ -182,8 +194,7 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
         )
     )
     if eq is None:
-        cert.finished = _now()
-        return cert
+        return
 
     relabeling = Morphism2d(
         T, current, tuple(Word2d.letter(eq.tile_map[i]) for i in range(len(T)))
@@ -202,8 +213,7 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
         )
     )
     if not expansive:
-        cert.finished = _now()
-        return cert
+        return
 
     cert.self_similar = True
     cert.aperiodic = True  # expansive + recognizable self-map onto-up-to-shift
@@ -231,5 +241,3 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
         )
     )
     cert.minimal = minimal
-    cert.finished = _now()
-    return cert

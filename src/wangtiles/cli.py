@@ -369,10 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # UsageError and JSONDecodeError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

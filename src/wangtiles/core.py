@@ -118,10 +118,6 @@ class WangTileSet:
     def __repr__(self) -> str:
         return f"WangTileSet({len(self)} tiles)"
 
-    @property
-    def tiles(self) -> tuple[WangTile, ...]:
-        return self._tiles
-
     def index(self, tile: WangTile) -> int:
         return self._index[tile]
 
@@ -240,42 +236,43 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
         trail.append((mapping, used_set, a, b))
         return True
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
+    def unbind(trail: list) -> None:
+        for mapping, used_set, a, b in reversed(trail):
+            del mapping[a]
+            used_set.discard(b)
+
+    # Depth-first over ``order`` with an explicit stack, so the depth is not
+    # bounded by the recursion limit.  stack[k] holds the position in
+    # cand[order[k]] of the tile chosen at depth k and the bindings it made;
+    # candidates are tried in list order, as a recursive search would.
+    stack: list[tuple[int, list]] = []
+    start = 0
+    while len(stack) < len(order):
+        i = order[len(stack)]
         t = T[i]
-        for j in cand[i]:
+        for p in range(start, len(cand[i])):
+            j = cand[i][p]
             if j in used:
                 continue
             s = s_tiles[j]
             trail: list = []
-            ok = (
+            if (
                 bind(vmap, vused, t.right, s.right, trail)
                 and bind(vmap, vused, t.left, s.left, trail)
                 and bind(hmap, hused, t.top, s.top, trail)
                 and bind(hmap, hused, t.bottom, s.bottom, trail)
-            )
-            if ok:
+            ):
                 used.add(j)
                 tile_map[i] = j
-                if search(k + 1):
-                    return True
-                used.discard(j)
-                del tile_map[i]
-            for mapping, used_set, a, b in reversed(trail):
-                del mapping[a]
-                used_set.discard(b)
-        return False
-
-    if not search(0):
-        return None
+                stack.append((p, trail))
+                start = 0
+                break
+            unbind(trail)
+        else:
+            if not stack:
+                return None
+            p, trail = stack.pop()
+            used.discard(tile_map.pop(order[len(stack)]))
+            unbind(trail)
+            start = p + 1
     return Equivalence(dict(vmap), dict(hmap), dict(tile_map))
-
-
-def relabel(ts: WangTileSet, vertical: dict[str, str], horizontal: dict[str, str]) -> WangTileSet:
-    """Apply color bijections to every tile, keeping the index order."""
-    return WangTileSet(
-        WangTile(vertical[t.right], horizontal[t.top], vertical[t.left], horizontal[t.bottom])
-        for t in ts
-    )

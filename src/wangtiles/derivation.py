@@ -17,7 +17,7 @@ satisfies the letter-level recognizability criterion by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -54,9 +54,12 @@ class MarkerSet:
 class MarkerReport:
     """Outcome of verify_markers: truthy iff the set is verified."""
 
-    ok: bool
     same_axis_violations: tuple[tuple[int, int], ...] = ()
     cross_axis_violations: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.same_axis_violations and not self.cross_axis_violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -88,7 +91,7 @@ def verify_markers(
     if any(i < 0 or i >= len(T) for i in M):
         raise ValueError("marker index out of range")
     same, cross = map(tuple, _violations(T, M, direction, radius))
-    return MarkerReport(not same and not cross, same, cross)
+    return MarkerReport(same, cross)
 
 
 def _violations(
@@ -134,32 +137,20 @@ def find_marker_candidates(
     falls entirely inside one component, so unions of components induce the
     only tile subsets that can pass the cross-axis condition.
     """
-    if direction == 2:
-        edges = [(t.left, t.right) for t in T]
-        crossing = [(t.left, t.right) for t in T]
-    else:
-        edges = [(t.bottom, t.top) for t in T]
-        crossing = [(t.bottom, t.top) for t in T]
-    comps = sorted(_components(edges), key=lambda c: sorted(c))
+    crossing = [(t.left, t.right) if direction == 2 else (t.bottom, t.top) for t in T]
+    comps = sorted(_components(crossing), key=lambda c: sorted(c))
     k = len(comps)
     if k > 20:
         raise ValueError(f"too many color components ({k}) for exhaustive unions")
-    out = []
+    found: set[frozenset[int]] = set()
     for mask in range(1, (1 << k) - 1):
         chosen = set().union(*(comps[b] for b in range(k) if mask >> b & 1))
+        # Every component holds both crossing colors of at least one tile, so
+        # a nonempty proper union of components gives a nonempty proper M.
         M = frozenset(i for i, (a, b) in enumerate(crossing) if a in chosen and b in chosen)
-        if not M or len(M) == len(T):
-            continue
         if next(chain(*_violations(T, M, direction, radius)), None) is None:
-            out.append(MarkerSet(M, direction))
-    out.sort(key=lambda m: (len(m.tile_indices), sorted(m.tile_indices)))
-    seen: set[frozenset[int]] = set()
-    unique = []
-    for m in out:
-        if m.tile_indices not in seen:
-            seen.add(m.tile_indices)
-            unique.append(m)
-    return unique
+            found.add(M)
+    return [MarkerSet(M, direction) for M in sorted(found, key=lambda M: (len(M), sorted(M)))]
 
 
 @dataclass(frozen=True)
@@ -173,7 +164,10 @@ class Derivation:
     morphism: Morphism2d  # derived -> source
     singles: tuple[int, ...]               # source indices kept as letters
     fusions: tuple[tuple[int, int], ...]   # (non-marker, marker) source pairs
-    degenerate: bool = field(default=False)
+
+    @property
+    def degenerate(self) -> bool:
+        return len(self.derived) == 0
 
     def permutation_to(self, reference: WangTileSet) -> Optional[list[int]]:
         """perm with reference[perm[k]] == derived[k], or None if tiles differ."""
@@ -208,6 +202,22 @@ class Derivation:
         return ts, Morphism2d(ts, self.source, tuple(im for im in images if im is not None))
 
 
+def regroup(
+    T: WangTileSet, markers: MarkerSet, radius: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The singles and fusions read off the radius-r dominoes along the axis.
+
+    The singles are the non-markers that can be followed by another
+    non-marker, in source order; the fusions are the (non-marker, marker)
+    dominoes, in domino-pair order.
+    """
+    M = markers.tile_indices
+    D = dominoes_with_surrounding(T, markers.direction, radius)
+    singles = tuple(sorted({i for i, j in D if i not in M and j not in M}))
+    fusions = tuple((i, j) for i, j in D if i not in M and j in M)
+    return singles, fusions
+
+
 def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
     """Build the derived tile set and its morphism back to T.
 
@@ -220,11 +230,7 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
         raise MarkerError(report)
     direction = markers.direction
     M = markers.tile_indices
-    D = dominoes_with_surrounding(T, direction, radius)
-    singles = tuple(
-        sorted({i for i, j in D if i not in M and j not in M})
-    )
-    fusions = tuple((i, j) for i, j in D if i not in M and j in M)
+    singles, fusions = regroup(T, markers, radius)
 
     tiles: list[WangTile] = [T[i] for i in singles]
     images: list[Word2d] = [Word2d.letter(i) for i in singles]
@@ -251,5 +257,4 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
         morphism=morphism,
         singles=singles,
         fusions=fusions,
-        degenerate=(len(tiles) == 0),
     )

@@ -10,7 +10,7 @@ agree along each input row and image widths agree along each input column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import WangTileSet
 from .spectral import IntMatrix, is_primitive  # noqa: F401  (re-exported)
@@ -26,6 +26,13 @@ class DomainError(ValueError):
 
 class CompositionError(ValueError):
     """Composition failed while assembling the image of a letter."""
+
+
+def _is_int_table(rows: object) -> bool:
+    """Is this a list of lists of ints, the shape of a pattern or image in JSON?"""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and all(type(c) is int for c in r) for r in rows
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -50,8 +57,10 @@ class Word2d:
         return Word2d(tuple(tuple(c) for c in columns))
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "Word2d":
+    def from_rows(rows: list[list[int]]) -> "Word2d":
         """Rows in Cartesian display order: first row is the top one."""
+        if not _is_int_table(rows):
+            raise ValueError("a pattern must be a list of rows of integer tile indices")
         height = len(rows)
         width = len(rows[0]) if height else 0
         if any(len(r) != width for r in rows):
@@ -123,13 +132,6 @@ class Morphism2d:
         if bad:
             raise ValueError(f"image letter {bad[0]} outside codomain")
 
-    def image(self, a: int) -> Word2d:
-        return self.images[a]
-
-    @staticmethod
-    def identity(ts: WangTileSet) -> "Morphism2d":
-        return Morphism2d(ts, ts, tuple(Word2d.letter(a) for a in range(len(ts))))
-
     def to_json_table(self) -> dict[str, list[list[int]]]:
         """The file format: domain index -> list of columns, bottom to top."""
         return {str(a): [list(c) for c in im.columns] for a, im in enumerate(self.images)}
@@ -146,9 +148,7 @@ class Morphism2d:
             if key not in table:
                 raise ValueError(f"missing image for domain letter {a}")
             image = table[key]
-            if not isinstance(image, list) or not all(
-                isinstance(col, list) and all(type(c) is int for c in col) for col in image
-            ):
+            if not _is_int_table(image):
                 raise ValueError(f"image of domain letter {a} is not a list of integer columns")
             images.append(Word2d.from_columns(image))
         return Morphism2d(domain, codomain, tuple(images))
@@ -276,18 +276,19 @@ def check_recognizability_criterion(
     return True
 
 
-def _min_dim(w: Word2d) -> int:
-    return min(w.shape)
+# Guards the factor closure against non-termination; it cannot trigger for an
+# expansive primitive morphism on a finite alphabet.
+CLOSURE_CAP = 10000
 
 
-def factors_2x2(m: Morphism2d, cap: int = 10000) -> set[Word2d]:
+def factors_2x2(m: Morphism2d) -> set[Word2d]:
     """All 2x2 words in the language generated by iterating the morphism.
 
     Phase 1 iterates images of letters until either every image reaches both
     dimensions >= 2 or the images stop changing.  Phase 2 closes the
     collected 2x2 factor set under "apply then take 2x2 factors", which is a
-    fixed point for expansive morphisms.  The cap guards non-termination; it
-    cannot trigger for an expansive primitive morphism on a finite alphabet.
+    fixed point for expansive morphisms.  Both phases stop with RuntimeError
+    after CLOSURE_CAP iterations.
     """
     if m.domain != m.codomain:
         raise ValueError("factor closure requires domain == codomain")
@@ -300,24 +301,24 @@ def factors_2x2(m: Morphism2d, cap: int = 10000) -> set[Word2d]:
 
     # Iterate until every letter's word either covers a 2x2 block or has
     # individually stopped changing (a fixed word never grows new factors).
-    for _ in range(cap):
+    for _ in range(CLOSURE_CAP):
         new_words = [apply(m, w) for w in words]
         for w in new_words:
             if min(w.shape) >= 2:
                 collected |= subwords(w, (2, 2))
-        if all(_min_dim(w) >= 2 or w == old for w, old in zip(new_words, words)):
+        if all(min(w.shape) >= 2 or w == old for w, old in zip(new_words, words)):
             words = new_words
             break
         words = new_words
     else:
-        raise RuntimeError(f"factor closure did not stabilize within {cap} iterations")
+        raise RuntimeError(f"factor closure did not stabilize within {CLOSURE_CAP} iterations")
 
     frontier = set(collected)
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > cap:
-            raise RuntimeError(f"factor closure did not stabilize within {cap} rounds")
+        if rounds > CLOSURE_CAP:
+            raise RuntimeError(f"factor closure did not stabilize within {CLOSURE_CAP} rounds")
         fresh: set[Word2d] = set()
         for f in frontier:
             fresh |= subwords(apply(m, f), (2, 2))

@@ -2,9 +2,10 @@
 
 Rectangles have free boundary colors; only interior adjacencies are
 constrained.  The solver works on candidate bitmasks (one bit per tile):
-pins and their neighborhoods are propagated to a fixpoint before search,
-then one iterative forward-checking backtracker, most constrained cell
-first, finishes the job for every mode: existence stops at the first
+every cell starts with every tile, a pinned cell with its pin alone, and
+arc-consistency propagation prunes them to its unique fixpoint before
+search; then one iterative forward-checking backtracker, most constrained
+cell first, finishes the job for every mode: existence stops at the first
 solution, counting tallies them, and enumerations are sorted into
 canonical cell-scan order (bottom row first, left to right).
 
@@ -61,10 +62,6 @@ class _Tables:
     left_pred: tuple[int, ...]    # tiles that may sit west of t
     top_succ: tuple[int, ...]     # tiles that may sit north of t
     bottom_pred: tuple[int, ...]  # tiles that may sit south of t
-    has_right: int                # tiles with at least one eastern neighbor
-    has_left: int
-    has_top: int
-    has_bottom: int
     # One lookup table per 8-bit chunk of a candidate mask (256 entries, fewer
     # for a short last chunk): entry b of chunk k is the union of the masks of
     # the tiles 8k + i for the set bits i of b.
@@ -109,10 +106,6 @@ def _tables(T: WangTileSet) -> _Tables:
         left_pred=left_pred,
         top_succ=top_succ,
         bottom_pred=bottom_pred,
-        has_right=sum(1 << i for i in range(n) if right_succ[i]),
-        has_left=sum(1 << i for i in range(n) if left_pred[i]),
-        has_top=sum(1 << i for i in range(n) if top_succ[i]),
-        has_bottom=sum(1 << i for i in range(n) if bottom_pred[i]),
         right_chunks=_chunk_tables(right_succ),
         left_chunks=_chunk_tables(left_pred),
         top_chunks=_chunk_tables(top_succ),
@@ -163,26 +156,12 @@ def _propagate(masks: list[int], width: int, height: int, tb: _Tables) -> bool:
 
 
 def _initial_masks(
-    T: WangTileSet, width: int, height: int, pins: Mapping[tuple[int, int], int], tb: _Tables
-) -> Optional[list[int]]:
-    masks = []
-    for y in range(height):
-        for x in range(width):
-            m = tb.full
-            if x + 1 < width:
-                m &= tb.has_right
-            if x > 0:
-                m &= tb.has_left
-            if y + 1 < height:
-                m &= tb.has_top
-            if y > 0:
-                m &= tb.has_bottom
-            pin = pins.get((x, y))
-            if pin is not None:
-                m &= 1 << pin
-            if m == 0:
-                return None
-            masks.append(m)
+    width: int, height: int, pins: Mapping[tuple[int, int], int], tb: _Tables
+) -> list[int]:
+    """Every tile in every cell, one tile in a pinned cell; _propagate does the rest."""
+    masks = [tb.full] * (width * height)
+    for (x, y), tile in pins.items():
+        masks[y * width + x] = 1 << tile
     return masks
 
 
@@ -288,8 +267,10 @@ def solve_rectangle(
         if not (0 <= tile < len(T)):
             raise ValueError(f"pin tile index {tile} out of range")
     tb = _tables(T)
-    masks = _initial_masks(T, width, height, pins, tb)
-    if masks is None or not _propagate(masks, width, height, tb):
+    masks = _initial_masks(width, height, pins, tb)
+    # An empty tile set tiles nothing, but _propagate never empties a cell
+    # that starts empty, so that case is answered here.
+    if not tb.full or not _propagate(masks, width, height, tb):
         return False if mode == "exists" else ([] if mode == "enumerate" else 0)
     found = _solutions(masks, width, height, tb)
     if mode == "exists":

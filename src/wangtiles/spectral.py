@@ -43,10 +43,6 @@ class IntMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
@@ -107,13 +103,6 @@ class IntPolynomial:
         for _ in range(k):
             result = result * self
         return result
-
-    def __call__(self, x):
-        """Evaluate at a number by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"

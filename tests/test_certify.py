@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -90,6 +91,19 @@ class TestOtherSubjects:
         assert [s.status for s in cert.steps] == ["fail"]
         assert "non-recognizable" in cert.steps[0].evidence["error"]
 
+    @pytest.mark.parametrize(
+        "entry",
+        [(1, -1), (3, 1), (0, 1), (1.0, 1), (1, 1.0), (1, "1"), (1,), (1, 1, 1), 7],
+        ids=[
+            "negative", "axis3", "axis0", "float-axis", "float", "string", "short", "long", "scalar"
+        ],
+    )
+    def test_bad_plan_entry(self, entry):
+        with pytest.raises(ValueError, match="bad plan entry"):
+            certify(V, "V", [entry, (2, 2)])
+        with pytest.raises(ValueError, match="bad plan entry"):
+            certify(V, "V", [(1, 1), entry])
+
     def test_bad_plan_length(self):
         try:
             certify(U, "U", [(2, 2)])
@@ -131,3 +145,22 @@ def test_rectangle_solve_count(monkeypatch, name, plan, solves):
     solver._known.cache_clear()
     assert certify(builtin(name).payload, name, plan).all_verified()
     assert calls == solves
+
+
+# Exact derive() calls from a cold surrounding memo: each derivation step
+# builds one derivation, and the auto plan's stability test builds none.
+@pytest.mark.parametrize("name, plan, derives", [("U", "auto", 2), ("V", [(1, 1), (2, 2)], 2)])
+def test_derive_count(monkeypatch, name, plan, derives):
+    module = importlib.import_module("wangtiles.certify")
+    calls = 0
+    real = module.derive
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "derive", counted)
+    solver._known.cache_clear()
+    assert certify(builtin(name).payload, name, plan).all_verified()
+    assert calls == derives

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from wangtiles import derivation
 from wangtiles.cli import main
 from wangtiles.core import parse_tileset
@@ -161,6 +163,19 @@ class TestIterateAndRender:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"rows": [[0]]}, [[0.0, 1.0]], [["0", "1"]]],
+        ids=["object", "floats", "strings"],
+    )
+    def test_malformed_pattern_file_is_a_usage_error(self, capsys, tmp_path, doc):
+        pattern = tmp_path / "p.json"
+        pattern.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "U", "--pattern", str(pattern))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "render", "U", "--letter", "99")
         assert code == 2
@@ -248,6 +263,12 @@ class TestCertify:
     def test_bad_plan(self, capsys):
         code, _, err = run(capsys, "certify", "U", "--plan", "sideways")
         assert code == 2
+
+    def test_negative_plan_radius_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "certify", "V", "--plan", "e1:-1,e2:2")
+        assert code == 2
+        assert out == ""
+        assert "bad plan entry" in err
 
     def test_unknown_tileset(self, capsys):
         code, _, err = run(capsys, "certify", "Q")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import pytest
 
 from wangtiles.core import (
@@ -10,9 +13,34 @@ from wangtiles.core import (
     emit_tileset,
     fuse,
     parse_tileset,
-    relabel,
 )
 from wangtiles.corpus import HORIZONTAL_RELABEL, VERTICAL_RELABEL, builtin
+
+from helpers import relabel
+
+
+def _bijection(pairs):
+    forward = dict(pairs)
+    if len(forward) != len(set(pairs)) or len(set(forward.values())) != len(forward):
+        return None
+    return forward
+
+
+def equivalent_by_brute_force(T, S):
+    """Independent oracle: try every tile bijection."""
+    if len(T) != len(S):
+        return False
+    for perm in permutations(range(len(S))):
+        pairs = [(T[i], S[j]) for i, j in enumerate(perm)]
+        vertical = _bijection(
+            [(t.right, s.right) for t, s in pairs] + [(t.left, s.left) for t, s in pairs]
+        )
+        horizontal = _bijection(
+            [(t.top, s.top) for t, s in pairs] + [(t.bottom, s.bottom) for t, s in pairs]
+        )
+        if vertical is not None and horizontal is not None:
+            return True
+    return False
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -154,6 +182,60 @@ class TestEquivalence:
         inv_v = {v: k for k, v in VERTICAL_RELABEL.items()}
         inv_h = {v: k for k, v in HORIZONTAL_RELABEL.items()}
         assert relabel(W, inv_v, inv_h) == U
+
+    def test_matches_brute_force(self):
+        # Each color sits on exactly one right and one left edge (or top and
+        # bottom), so every color has the same signature and the search has
+        # to backtrack.
+        rng = random.Random(3)
+
+        def regular_set(n):
+            while True:
+                right, left, top, bottom = (rng.sample(range(n), n) for _ in range(4))
+                tiles = {
+                    WangTile(f"v{right[i]}", f"h{top[i]}", f"v{left[i]}", f"h{bottom[i]}")
+                    for i in range(n)
+                }
+                if len(tiles) == n:
+                    return WangTileSet(sorted(tiles))
+
+        found = 0
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            T = regular_set(n)
+            if rng.random() < 0.5:
+                vertical = {f"v{i}": f"p{k}" for i, k in enumerate(rng.sample(range(n), n))}
+                horizontal = {f"h{i}": f"q{k}" for i, k in enumerate(rng.sample(range(n), n))}
+                tiles = list(relabel(T, vertical, horizontal))
+                rng.shuffle(tiles)
+                S = WangTileSet(tiles)
+            else:
+                S = regular_set(n)
+            eq = check_equivalence(T, S)
+            assert (eq is not None) == equivalent_by_brute_force(T, S)
+            if eq is not None:
+                found += 1
+                assert relabel(T, eq.vertical, eq.horizontal) == WangTileSet(
+                    S[eq.tile_map[i]] for i in range(len(T))
+                )
+        assert 150 < found < 300
+
+    def test_long_cycle_does_not_exhaust_the_stack(self):
+        # Tile i is (v_i, h_i, v_{i+1}, h_{i+1}): every color signature is
+        # equal, so the search assigns all 1,100 tiles one level deeper each.
+        n = 1100
+        ring = WangTileSet(
+            WangTile(f"v{i}", f"h{i}", f"v{(i + 1) % n}", f"h{(i + 1) % n}") for i in range(n)
+        )
+        eq = check_equivalence(ring, ring)
+        assert eq is not None
+        assert eq.tile_map == {i: i for i in range(n)}
+        vertical = {f"v{i}": f"a{(i * 7) % n}" for i in range(n)}
+        horizontal = {f"h{i}": f"b{(i * 13) % n}" for i in range(n)}
+        eq = check_equivalence(ring, relabel(ring, vertical, horizontal))
+        assert eq is not None
+        assert eq.vertical == vertical and eq.horizontal == horizontal
+        assert eq.tile_map == {i: i for i in range(n)}
 
     def test_inequivalent_same_size(self):
         a = parse_tileset("a x a x\nb y b y\n")

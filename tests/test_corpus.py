@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from wangtiles.core import WangTile, relabel
+from wangtiles.core import WangTile
 from wangtiles.corpus import (
     HORIZONTAL_RELABEL,
     VERTICAL_RELABEL,
@@ -10,6 +10,8 @@ from wangtiles.corpus import (
 )
 from wangtiles.derivation import MarkerSet, derive
 from wangtiles.morphism import Word2d, compose
+
+from helpers import relabel
 
 
 def test_u_first_tile():

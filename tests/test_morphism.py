@@ -25,6 +25,8 @@ from wangtiles.morphism import (
 from wangtiles.solver import is_valid_pattern
 from wangtiles.spectral import IntMatrix
 
+from helpers import identity_matrix, identity_morphism
+
 U = builtin("U").payload
 W = builtin("W").payload
 alpha = builtin("alpha").payload
@@ -98,7 +100,7 @@ class TestApply:
         assert got.to_rows() == [[2, 0], [14, 8]]
 
     def test_identity(self):
-        ident = Morphism2d.identity(U)
+        ident = identity_morphism(U)
         w = iterate(omega, 4, 2)
         assert apply(ident, w) == w
 
@@ -114,7 +116,7 @@ class TestCompose:
         assert ab.images[2] == Word2d(((15,), (11,)))
 
     def test_compose_with_identity(self):
-        ident = Morphism2d.identity(U)
+        ident = identity_morphism(U)
         assert compose(omega, ident).images == omega.images
         assert compose(ident, omega).images == omega.images
 
@@ -128,7 +130,7 @@ class TestCompose:
 
 class TestIncidence:
     def test_gamma_is_identity_matrix(self):
-        assert incidence_matrix(gamma) == IntMatrix.identity(19)
+        assert incidence_matrix(gamma) == identity_matrix(19)
 
     def test_column_sums_are_image_areas(self):
         M = incidence_matrix(omega)
@@ -146,7 +148,7 @@ class TestIncidence:
 
 class TestPrimitivity:
     def test_identity_never_primitive(self):
-        assert is_primitive(IntMatrix.identity(2)) is None
+        assert is_primitive(identity_matrix(2)) is None
 
     def test_fibonacci_matrix(self):
         assert is_primitive(IntMatrix([[0, 1], [1, 1]])) == 2
@@ -209,7 +211,7 @@ class TestFactors:
         from wangtiles.core import WangTile, WangTileSet
 
         ts = WangTileSet([WangTile("A", "A", "A", "A")])
-        assert factors_2x2(Morphism2d.identity(ts)) == set()
+        assert factors_2x2(identity_morphism(ts)) == set()
 
     def test_mixed_fixed_and_growing_letters(self):
         from wangtiles.core import WangTile, WangTileSet

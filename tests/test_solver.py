@@ -155,6 +155,9 @@ class TestSolveRectangle:
     def test_empty_tileset(self):
         empty = WangTileSet([])
         assert solve_rectangle(empty, 2, 2, None, "exists") is False
+        assert solve_rectangle(empty, 2, 2, None, "count") == 0
+        assert solve_rectangle(empty, 2, 2, None, "enumerate") == []
+        assert solve_rectangle(empty, 1, 1, None, "exists") is False
 
     def test_enumeration_is_scan_ordered_and_deterministic(self):
         a = solve_rectangle(U, 2, 2, None, "enumerate")

@@ -25,6 +25,8 @@ from wangtiles.spectral import (
     recognize_golden,
 )
 
+from helpers import identity_matrix
+
 PHI_F = (1 + math.sqrt(5)) / 2
 
 
@@ -56,7 +58,7 @@ def charpoly_by_determinant(rows):
 
 def mat_pow(M, k):
     """M**k by repeated squaring (k >= 0)."""
-    result = IntMatrix.identity(M.n)
+    result = identity_matrix(M.n)
     base = M
     while k:
         if k & 1:
@@ -77,6 +79,14 @@ def poly_at_matrix(p, M):
     return acc
 
 
+def poly_at(p, x):
+    """p(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def largest_real_root(p, lo=0.0, hi=None, tol=1e-12):
     """Largest real root of p in [lo, hi] by sign-change bisection.
 
@@ -88,10 +98,10 @@ def largest_real_root(p, lo=0.0, hi=None, tol=1e-12):
         lead = abs(p.coeffs[-1])
         hi = 1 + max(abs(c) for c in p.coeffs) / lead
     steps = 4000
-    prev_x, prev_v = hi, p(hi)
+    prev_x, prev_v = hi, poly_at(p, hi)
     for k in range(1, steps + 1):
         x = hi - (hi - lo) * k / steps
-        v = p(x)
+        v = poly_at(p, x)
         if v == 0:
             return x
         if (v < 0) != (prev_v < 0):
@@ -99,7 +109,7 @@ def largest_real_root(p, lo=0.0, hi=None, tol=1e-12):
             fa = v
             while b - a > tol:
                 m = (a + b) / 2
-                fm = p(m)
+                fm = poly_at(p, m)
                 if fm == 0:
                     return m
                 if (fm < 0) == (fa < 0):
@@ -130,7 +140,7 @@ class TestIntMatrix:
 class TestCharPoly:
     def test_identity_3x3(self):
         # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
-        assert char_poly(IntMatrix.identity(3)) == IntPolynomial([-1, 3, -3, 1])
+        assert char_poly(identity_matrix(3)) == IntPolynomial([-1, 3, -3, 1])
 
     def test_fibonacci(self):
         assert char_poly(IntMatrix([[0, 1], [1, 1]])) == IntPolynomial([-1, -1, 1])
@@ -167,7 +177,7 @@ class TestPerron:
 
     def test_refuses_non_primitive(self):
         with pytest.raises(ValueError):
-            perron(IntMatrix.identity(2))
+            perron(identity_matrix(2))
 
     def test_agrees_with_polynomial_root(self):
         M = incidence_matrix(builtin("omega").payload)
@@ -249,11 +259,11 @@ class TestEigencheck:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            golden_eigencheck(IntMatrix.identity(2), PHI, [PHI], "right")
+            golden_eigencheck(identity_matrix(2), PHI, [PHI], "right")
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
-            golden_eigencheck(IntMatrix.identity(1), PHI, [PHI], "up")
+            golden_eigencheck(identity_matrix(1), PHI, [PHI], "up")
 
 
 class TestRecognizeGolden:
