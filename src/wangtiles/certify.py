@@ -29,7 +29,6 @@ from .derivation import Derivation, derive, find_marker_candidates, regroup
 from .morphism import (
     Morphism2d,
     Word2d,
-    check_recognizability_criterion,
     compose,
     factors_2x2,
     incidence_matrix,
@@ -154,9 +153,8 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
             )
             return
         markers = d.markers
-        recognizable = check_recognizability_criterion(
-            d.morphism, set(markers.tile_indices), markers.direction, "right"
-        )
+        # derive() refuses a morphism that fails the letter-level criterion,
+        # so a derivation that got here satisfies it.
         cert.steps.append(
             Step(
                 claim=f"derivation step {k}: markers verified and morphism recognizable",
@@ -167,12 +165,12 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
                     "derivedSize": len(d.derived),
                     "singles": list(d.singles),
                     "fusions": [list(p) for p in d.fusions],
-                    "recognizabilityCriterion": recognizable,
+                    "recognizabilityCriterion": True,
                 },
-                status="pass" if recognizable and not d.degenerate else "fail",
+                status="fail" if d.degenerate else "pass",
             )
         )
-        if not recognizable or d.degenerate:
+        if d.degenerate:
             return
         derivations.append(d)
         current = d.derived

@@ -36,15 +36,32 @@ Mode = Literal["exists", "enumerate", "count"]
 
 
 def violations(T: WangTileSet, w: Word2d) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """Each internal edge whose two colors differ, as a (cell, east or north cell) pair."""
-    n1, n2 = w.shape
-    for x in range(n1):
-        for y in range(n2):
-            t = T[w.cell(x, y)]
-            if x + 1 < n1 and t.right != T[w.cell(x + 1, y)].left:
-                yield ((x, y), (x + 1, y))
-            if y + 1 < n2 and t.top != T[w.cell(x, y + 1)].bottom:
-                yield ((x, y), (x, y + 1))
+    """Each internal edge whose two colors differ, as a (cell, east or north cell) pair.
+
+    Column-major, and at each cell the east edge before the north edge.  Each
+    column's colors are read once and compared with the next column's.
+    """
+    tiles = list(T)
+    columns = w.columns
+    for x, col in enumerate(columns):
+        cells = [tiles[a] for a in col]
+        east: set[int] = set()
+        if x + 1 < len(columns):
+            east = _mismatches([t.right for t in cells], [tiles[a].left for a in columns[x + 1]])
+        north = _mismatches([t.top for t in cells[:-1]], [t.bottom for t in cells[1:]])
+        if east or north:
+            for y in sorted(east | north):
+                if y in east:
+                    yield ((x, y), (x + 1, y))
+                if y in north:
+                    yield ((x, y), (x, y + 1))
+
+
+def _mismatches(colors: list[str], others: list[str]) -> set[int]:
+    """The positions at which two equally long color lists differ."""
+    if colors == others:
+        return set()
+    return {y for y, (c, d) in enumerate(zip(colors, others)) if c != d}
 
 
 def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:

@@ -4,12 +4,18 @@ Everything is arbitrary precision: matrices over the integers, polynomials
 over the integers, and numbers a + b*phi in the quadratic ring Z[phi] with
 phi**2 = phi + 1.  Floating point appears only in the power iteration and in
 display helpers.
+
+Exact eigenvectors come from fraction-free Gauss-Jordan elimination on
+(a, b) integer pairs of Z[phi]: no fraction is formed while eliminating, and
+the integer kernel vector is divided once, at the end, either by its entry
+in the free column (golden_kernel_vector) or by its sum (the frequencies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, sqrt
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 PHI_FLOAT = (1 + sqrt(5)) / 2
@@ -149,15 +155,15 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
         toep = [1, -a]
         cur = col[:]
         for _ in range(r - 1):
-            toep.append(-sum(x * y for x, y in zip(row, cur)))
-            cur = [sum(sub[i][j] * cur[j] for j in range(r)) for i in range(r)]
-        toep.append(-sum(x * y for x, y in zip(row, cur)))
+            toep.append(-sum(map(mul, row, cur)))
+            cur = [sum(map(mul, srow, cur)) for srow in sub]
+        toep.append(-sum(map(mul, row, cur)))
 
+        # The product of vec and toep, truncated to degree r + 1.
         new = [0] * (r + 2)
         for i, v in enumerate(vec):
-            for j, t in enumerate(toep):
-                if i + j <= r + 1:
-                    new[i + j] += v * t
+            for k, t in enumerate(toep[: r + 2 - i], i):
+                new[k] += v * t
         vec = new
 
     return IntPolynomial(reversed(vec))
@@ -327,13 +333,6 @@ class GoldenRational:
         return f"({self.num.pretty()})/{self.den}"
 
 
-def golden_matvec(M: IntMatrix, v: Sequence[GoldenNumber]) -> list[GoldenNumber]:
-    return [
-        sum((g.scale(a) for a, g in zip(row, v)), GOLDEN_ZERO)
-        for row in M.rows
-    ]
-
-
 def golden_eigencheck(
     M: IntMatrix, eigenvalue: GoldenNumber, vector: Sequence[GoldenNumber], side: str = "right"
 ) -> bool:
@@ -343,7 +342,39 @@ def golden_eigencheck(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     A = M if side == "right" else M.transpose()
-    return all(x == eigenvalue * y for x, y in zip(golden_matvec(A, vector), vector))
+    # A is an integer matrix, so A v splits into the integer parts A va and
+    # the phi parts A vb; (la + lb phi)(a + b phi) = la a + lb b + (la b + lb (a + b)) phi.
+    va, vb = [g.a for g in vector], [g.b for g in vector]
+    la, lb = eigenvalue.a, eigenvalue.b
+    return all(
+        sum(map(mul, row, va)) == la * a + lb * b
+        and sum(map(mul, row, vb)) == la * b + lb * (a + b)
+        for row, a, b in zip(A.rows, va, vb)
+    )
+
+
+def _power_iteration(A: IntMatrix, tolerance: float = 1e-12) -> tuple[float, list[float]]:
+    """Dominant value and vector of A by power iteration from the all-ones vector.
+
+    Stops when successive Rayleigh quotients differ by less than the
+    tolerance; the vector is scaled so that its first nonzero entry is 1.
+    """
+    v = [1.0] * A.n
+    value = 0.0
+    for _ in range(10000):
+        w = [sum(a * x for a, x in zip(row, v)) for row in A.rows]
+        norm = max(abs(x) for x in w)
+        w = [x / norm for x in w]
+        rayleigh = sum(
+            wi * sum(a * x for a, x in zip(row, w)) for wi, row in zip(w, A.rows)
+        ) / sum(x * x for x in w)
+        if abs(rayleigh - value) < tolerance:
+            v = w
+            value = rayleigh
+            break
+        v, value = w, rayleigh
+    first = next(x for x in v if abs(x) > 1e-15)
+    return value, [x / first for x in v]
 
 
 def perron(M: IntMatrix, tolerance: float = 1e-12) -> tuple[float, list[float], list[float]]:
@@ -356,27 +387,8 @@ def perron(M: IntMatrix, tolerance: float = 1e-12) -> tuple[float, list[float], 
     """
     if is_primitive(M) is None:
         raise ValueError("matrix is not primitive")
-
-    def iterate(A: IntMatrix) -> tuple[float, list[float]]:
-        v = [1.0] * A.n
-        value = 0.0
-        for _ in range(10000):
-            w = [sum(a * x for a, x in zip(row, v)) for row in A.rows]
-            norm = max(abs(x) for x in w)
-            w = [x / norm for x in w]
-            rayleigh = sum(
-                wi * sum(a * x for a, x in zip(row, w)) for wi, row in zip(w, A.rows)
-            ) / sum(x * x for x in w)
-            if abs(rayleigh - value) < tolerance:
-                v = w
-                value = rayleigh
-                break
-            v, value = w, rayleigh
-        first = next(x for x in v if abs(x) > 1e-15)
-        return value, [x / first for x in v]
-
-    value, right = iterate(M)
-    _, left = iterate(M.transpose())
+    value, right = _power_iteration(M, tolerance)
+    _, left = _power_iteration(M.transpose(), tolerance)
     return value, right, left
 
 
@@ -394,71 +406,109 @@ def recognize_golden(x: float, max_b: int = 64, tol: float = 1e-6) -> Optional[G
     return None
 
 
+def _integer_kernel(
+    M: IntMatrix, eigenvalue: GoldenNumber
+) -> Optional[tuple[GoldenNumber, list[GoldenNumber]]]:
+    """(D, x) with x a nonzero solution of (M - lambda I) x = 0 in Z[phi], or None.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on plain (a, b)
+    pairs: each non-pivot row becomes (p*x - f*y) / q for the pivot p and the
+    previous pivot q, and the division is exact in Z[phi].  It is done by
+    multiplying by q's conjugate factor and dividing both coordinates by
+    norm(q), which may be negative.  Rows whose entry in the pivot column is
+    zero are updated too: skipping them would break the exactness of every
+    later division.  At the end every pivot equals the last one, D, so the
+    vector has D in the first free column and minus that column's entries at
+    the pivots; x / D is the vector that elimination over the field gives.
+    """
+    n = M.n
+    la, lb = eigenvalue.a, eigenvalue.b
+    zero = (0, 0)
+    rows = [[(a - la, -lb) if i == j else (a, 0) for j, a in enumerate(row)]
+            for i, row in enumerate(M.rows)]
+    pivots: list[int] = []
+    qa, qb = 1, 0
+    for c in range(n):
+        r = len(pivots)
+        # Each row is a nonzero multiple of the row that elimination over the
+        # field Q(phi) would hold, so the zero patterns are the same; pivoting
+        # on the sparsest row (first on ties) creates the least fill-in.
+        candidates = [i for i in range(r, n) if rows[i][c] != zero]
+        if not candidates:
+            continue
+        pivot = max(candidates, key=lambda i: rows[i].count(zero))
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pa, pb = prow[c]
+        ca, cb, norm = qa + qb, -qb, qa * qa + qa * qb - qb * qb
+        for i in range(n):
+            if i == r:
+                continue
+            fa, fb = rows[i][c]
+            new = []
+            for (xa, xb), (ya, yb) in zip(rows[i], prow):
+                if not (xa or xb or ya or yb):
+                    new.append(zero)  # (p*0 - f*0) / q
+                    continue
+                ta = pa * xa + pb * xb - fa * ya - fb * yb
+                tb = pa * xb + pb * xa + pb * xb - fa * yb - fb * ya - fb * yb
+                new.append(((ta * ca + tb * cb) // norm, (ta * cb + tb * ca + tb * cb) // norm))
+            rows[i] = new
+        pivots.append(c)
+        qa, qb = pa, pb
+    if len(pivots) == n:
+        return None  # trivial kernel: not an eigenvalue
+    free = next(c for c in range(n) if c not in pivots)
+    x = [GOLDEN_ZERO] * n
+    x[free] = GoldenNumber(qa, qb)
+    for row, c in zip(rows, pivots):
+        xa, xb = row[free]
+        x[c] = GoldenNumber(-xa, -xb)
+    return x[free], x
+
+
 def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
     """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
 
-    Gaussian elimination in the field Q(phi); the kernel is one-dimensional
-    for the dominant eigenvalue of a primitive matrix.
+    Fraction-free elimination on (a, b) pairs of Z[phi]; the integer kernel
+    vector is divided once, at the end, by its entry in the first free
+    column, which becomes 1.  The kernel is one-dimensional for the dominant
+    eigenvalue of a primitive matrix.
     """
-    n = M.n
-    lam = GoldenRational.of(eigenvalue)
-    rows = [
-        [GoldenRational.of(GoldenNumber(M.rows[i][j], 0)) - (lam if i == j else GoldenRational())
-         for j in range(n)]
-        for i in range(n)
-    ]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        # Every nonzero pivot leads to the same reduced echelon form, hence to
-        # the same vector; the sparsest row creates the least fill-in.
-        candidates = [i for i in range(r, n) if not rows[i][c].is_zero()]
-        if not candidates:
-            continue
-        pivot = min(candidates, key=lambda i: sum(not x.is_zero() for x in rows[i]))
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        # Zeros are skipped: 0 / inv is 0 and x - f * 0 is x, both already in
-        # lowest terms, and most entries of an incidence matrix are zero.
-        rows[r] = [x if x.is_zero() else x / inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    if r == n:
-        return None  # trivial kernel: not an eigenvalue
-    free = next(c for c in range(n) if c not in {c for _, c in pivots})
-    x = [GoldenRational() for _ in range(n)]
-    x[free] = GoldenRational.of(GOLDEN_ONE)
-    for i, c in pivots:
-        x[c] = -rows[i][free]
-    return x
+    kernel = _integer_kernel(M, eigenvalue)
+    if kernel is None:
+        return None
+    d, x = kernel
+    den = GoldenRational.of(d)
+    return [GoldenRational.of(g) / den for g in x]
 
 
 def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRational]]:
     """Exact dominant eigenvalue in Z[phi] and right eigenvector scaled to sum 1.
 
-    The eigenvalue is recognized from the float Perron value and then verified
-    exactly: if the recognized number is not a true eigenvalue the function
-    raises, it never returns an unverified guess.
+    The eigenvalue is recognized from the float Perron value, and the kernel
+    vector of M - lambda I is checked exactly, M x == lambda x in Z[phi],
+    before it is normalized: if either check fails the function raises, it
+    never returns an unverified guess.
     """
-    value, _, _ = perron(M)
+    if is_primitive(M) is None:
+        raise ValueError("matrix is not primitive")
+    value, _ = _power_iteration(M)
     # If lam = a + b*phi is an eigenvalue of the integer matrix M, so is its
     # conjugate lam', and |lam'| <= lam; hence |b|*sqrt(5) = |lam - lam'| <= 2*lam.
     lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
     if lam is None:
         raise ValueError(f"dominant eigenvalue {value} not recognized in Z[phi]")
-    kernel = golden_kernel_vector(M, lam)
+    kernel = _integer_kernel(M, lam)
     if kernel is None:
         raise ValueError(f"{lam.pretty()} is not an exact eigenvalue")
-    total = GoldenRational()
-    for x in kernel:
-        total = total + x
+    _, x = kernel
+    if not golden_eigencheck(M, lam, x):
+        raise ValueError(f"kernel vector fails M x == ({lam.pretty()}) x")
+    total = GoldenRational.of(sum(x, GOLDEN_ZERO))
     if total.is_zero():
         raise ValueError("eigenvector sums to zero; cannot normalize")
-    freqs = [x / total for x in kernel]
+    freqs = [GoldenRational.of(g) / total for g in x]
     if any(float(f) <= 0 for f in freqs):
         freqs = [-f for f in freqs]
     return lam, freqs

@@ -13,7 +13,10 @@ from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, iterate
 from wangtiles.solver import (
+    _initial_masks,
     _known,
+    _propagate,
+    _solutions,
     _tables,
     _union,
     dominoes_with_surrounding,
@@ -21,6 +24,7 @@ from wangtiles.solver import (
     pattern_has_surrounding,
     patterns_with_surrounding,
     solve_rectangle,
+    violations,
 )
 
 U = builtin("U").payload
@@ -123,6 +127,57 @@ class TestUnionTables:
         for over in [(1 << size) - 1, 1 << (size - 1), 0] + [1 << i for i in range(size)]:
             for attr, fits in DIRECTIONS:
                 assert _union(getattr(tb, attr), over) == per_bit_union(tiles, over, fits)
+
+
+def violations_per_edge(T, w):
+    """Oracle: look up both tiles of every internal edge, column-major, east
+    before north."""
+    n1, n2 = w.shape
+    out = []
+    for x in range(n1):
+        for y in range(n2):
+            t = T[w.cell(x, y)]
+            if x + 1 < n1 and t.right != T[w.cell(x + 1, y)].left:
+                out.append(((x, y), (x + 1, y)))
+            if y + 1 < n2 and t.top != T[w.cell(x, y + 1)].bottom:
+                out.append(((x, y), (x, y + 1)))
+    return out
+
+
+def some_tiling(T, width, height):
+    """The first tiling of the rectangle that the solver's search finds."""
+    tb = _tables(T)
+    masks = _initial_masks(width, height, {}, tb)
+    assert _propagate(masks, width, height, tb)
+    cells = next(_solutions(masks, width, height, tb))
+    return Word2d.from_columns(
+        [[cells[y * width + x].bit_length() - 1 for y in range(height)] for x in range(width)]
+    )
+
+
+class TestViolations:
+    @pytest.mark.parametrize("name", ["U", "V", "W"])
+    def test_matches_per_edge_oracle(self, name):
+        T = builtin(name).payload
+        rng = random.Random(sum(map(ord, name)))
+        for width, height in [(1, 1), (1, 7), (7, 1), (6, 5), (9, 9)]:
+            valid = some_tiling(T, width, height)
+            assert list(violations(T, valid)) == [] == violations_per_edge(T, valid)
+            for trial in range(20):
+                cols = [list(c) for c in valid.columns]
+                for _ in range(rng.randint(1, max(1, width * height // 4))):
+                    cols[rng.randrange(width)][rng.randrange(height)] = rng.randrange(len(T))
+                w = Word2d.from_columns(cols)
+                assert list(violations(T, w)) == violations_per_edge(T, w), (width, height, trial)
+
+    def test_every_edge_mismatched(self):
+        # Two tiles that match nothing, not even themselves.
+        T = WangTileSet([WangTile("a", "b", "c", "d"), WangTile("e", "f", "g", "h")])
+        for width, height in [(1, 1), (1, 4), (4, 1), (3, 3)]:
+            w = Word2d.from_columns([[x % 2] * height for x in range(width)])
+            got = list(violations(T, w))
+            assert got == violations_per_edge(T, w)
+            assert len(got) == (width - 1) * height + width * (height - 1)
 
 
 class TestSolveRectangle:

@@ -121,6 +121,44 @@ def largest_real_root(p, lo=0.0, hi=None, tol=1e-12):
     raise ValueError("no real root found in range")
 
 
+def kernel_by_field_elimination(M, eigenvalue):
+    """Oracle: a nonzero solution of (M - lambda I) x = 0 by Gauss-Jordan
+    elimination over the field Q(phi), pivot row divided to 1 at each step,
+    or None.  Pivots on the sparsest candidate row, first on ties, and sets
+    the first free column to 1."""
+    n = M.n
+    lam = GoldenRational.of(eigenvalue)
+    rows = [
+        [GoldenRational.of(GoldenNumber(M.rows[i][j], 0)) - (lam if i == j else GoldenRational())
+         for j in range(n)]
+        for i in range(n)
+    ]
+    pivots = []
+    r = 0
+    for c in range(n):
+        candidates = [i for i in range(r, n) if not rows[i][c].is_zero()]
+        if not candidates:
+            continue
+        pivot = min(candidates, key=lambda i: sum(not x.is_zero() for x in rows[i]))
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x if x.is_zero() else x / inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+    if r == n:
+        return None
+    free = next(c for c in range(n) if c not in {c for _, c in pivots})
+    x = [GoldenRational() for _ in range(n)]
+    x[free] = GoldenRational.of(GOLDEN_ONE)
+    for i, c in pivots:
+        x[c] = -rows[i][free]
+    return x
+
+
 class TestIntMatrix:
     def test_rectangular_allowed_square_required_for_n(self):
         m = IntMatrix([[1, 2, 3], [4, 5, 6]])
@@ -311,6 +349,23 @@ class TestExactFrequencies:
         assert lam == PHI ** (2 * k)
         assert freqs == exact_perron_frequencies(M)[1]
 
+    def test_wrong_kernel_vector_is_refused(self, monkeypatch):
+        # The kernel vector is checked exactly, M x == lambda x, before any
+        # frequency is returned; a slip in the elimination cannot get through.
+        from wangtiles import spectral
+
+        real = spectral._integer_kernel
+
+        def off_by_one(M, lam):
+            d, x = real(M, lam)
+            x[0] = x[0] + GOLDEN_ONE
+            return d, x
+
+        M = incidence_matrix(builtin("omega").payload)
+        monkeypatch.setattr(spectral, "_integer_kernel", off_by_one)
+        with pytest.raises(ValueError, match="fails M x"):
+            exact_perron_frequencies(M)
+
     def test_morphism_level_wrapper(self):
         from wangtiles.spectral import frequencies
 
@@ -319,6 +374,107 @@ class TestExactFrequencies:
         assert decimal[0] == pytest.approx(float(exact[0]))
         with pytest.raises(ValueError):
             frequencies(builtin("gamma").payload)
+
+
+def _permuted(M, seed):
+    """P M P^T for a seeded permutation P."""
+    n = M.n
+    perm = random.Random(seed).sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = M[i][j]
+    return IntMatrix(rows)
+
+
+# phi, its conjugate 1 - phi, phi^2, its conjugate 2 - phi, and a few that
+# are rarely eigenvalues.  phi - a has norm a^2 - a - 1, negative for a in
+# {0, 1}: pivots on a 0/1 diagonal at lambda = phi have negative norm.
+GUESSES = [
+    GoldenNumber(0, 0), GoldenNumber(1, 0), GoldenNumber(-1, 0), GoldenNumber(2, 0),
+    PHI, GoldenNumber(1, -1), GoldenNumber(1, 1), GoldenNumber(2, -1), GoldenNumber(3, 2),
+]
+
+
+class TestKernelAgainstFieldElimination:
+    """golden_kernel_vector gives exactly the values of elimination over
+    Q(phi), for eigenvalues and non-eigenvalues alike."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_permuted_powers_of_omega(self, k):
+        Mk = mat_pow(incidence_matrix(builtin("omega").payload), k)
+        for seed in range(3):
+            A = _permuted(Mk, 7 * k + seed)
+            for lam in (PHI ** (2 * k), GoldenNumber(0, 0), GoldenNumber(1, 0), PHI):
+                assert golden_kernel_vector(A, lam) == kernel_by_field_elimination(A, lam)
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(77)
+        kernels = trivial = 0
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 0, 1, 1, 2, -1, 3)) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:  # triangular: the diagonal entries are eigenvalues
+                rows = [[a if j >= i else 0 for j, a in enumerate(r)] for i, r in enumerate(rows)]
+            M = IntMatrix(rows)
+            guesses = GUESSES + [GoldenNumber(rows[i][i], 0) for i in range(n)]
+            for lam in guesses:
+                expected = kernel_by_field_elimination(M, lam)
+                assert golden_kernel_vector(M, lam) == expected, (rows, lam)
+                if expected is None:
+                    trivial += 1
+                else:
+                    kernels += 1
+        assert kernels > 100 and trivial > 100
+
+    def test_golden_blocks(self):
+        # P [[F, 0], [C, R]] P^T: F has the eigenvalues phi and 1 - phi (or
+        # their squares), R is a random triangular block, C random.
+        rng = random.Random(78)
+        for F in ([[0, 1], [1, 1]], [[1, 1], [1, 2]], [[1, 1], [1, 0]]):
+            for _ in range(20):
+                m = rng.randint(0, 4)
+                R = [[rng.randint(-2, 3) if j >= i else 0 for j in range(m)] for i in range(m)]
+                rows = [F[0] + [0] * m, F[1] + [0] * m]
+                rows += [[rng.randint(-1, 1), rng.randint(-1, 1)] + r for r in R]
+                M = _permuted(IntMatrix(rows), rng.randrange(1000))
+                found = 0
+                for lam in GUESSES:
+                    expected = kernel_by_field_elimination(M, lam)
+                    assert golden_kernel_vector(M, lam) == expected, (M.rows, lam)
+                    found += expected is not None
+                assert found >= 2  # both roots of F's block
+
+    def test_kernels_of_dimension_two_or_more(self):
+        B = [[1, 2], [0, 3]]
+        repeated = IntMatrix([r + r for r in B] + [r + r for r in B])  # [[B, B], [B, B]]
+        cases = [
+            (IntMatrix([[0] * 4 for _ in range(4)]), GoldenNumber(0, 0)),  # kernel dimension 4
+            (identity_matrix(3), GoldenNumber(1, 0)),                        # dimension 3
+            (repeated, GoldenNumber(0, 0)),                                 # dimension 2
+            (IntMatrix([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]), PHI),  # 2
+        ]
+        for M, lam in cases:
+            expected = kernel_by_field_elimination(M, lam)
+            assert expected is not None
+            assert golden_kernel_vector(M, lam) == expected
+
+    def test_negative_norm_pivots(self):
+        # At lambda = phi the diagonal of M - lambda I holds a - phi, of norm
+        # a^2 - a - 1 = -1 for a in {0, 1}; the Fibonacci matrix pivots on
+        # -phi first and every later row is divided by it.
+        fib = IntMatrix([[0, 1], [1, 1]])
+        assert GoldenNumber(0, -1).norm() < 0
+        assert golden_kernel_vector(fib, PHI) == kernel_by_field_elimination(fib, PHI)
+        assert golden_kernel_vector(fib, PHI) == [
+            GoldenRational.of(GoldenNumber(-1, 1)), GoldenRational.of(GOLDEN_ONE)
+        ]
+        rng = random.Random(79)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            M = IntMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+            for lam in (PHI, GoldenNumber(1, -1), GoldenNumber(-1, 1)):
+                assert golden_kernel_vector(M, lam) == kernel_by_field_elimination(M, lam)
 
 
 @pytest.fixture(scope="module")
