@@ -16,8 +16,8 @@ from .morphism import (  # noqa: F401
     apply,
     compose,
     factors_2x2,
+    frequencies,
     incidence_matrix,
-    is_primitive,
     iterate,
 )
 from .solver import (  # noqa: F401
@@ -38,8 +38,8 @@ from .spectral import (  # noqa: F401
     IntMatrix,
     IntPolynomial,
     char_poly,
-    frequencies,
     golden_eigencheck,
+    is_primitive,
     perron,
 )
 from .corpus import builtin  # noqa: F401

@@ -32,9 +32,9 @@ from .morphism import (
     compose,
     factors_2x2,
     incidence_matrix,
-    is_primitive,
 )
 from .solver import patterns_with_surrounding
+from .spectral import is_primitive
 
 AUTO_DIRECTIONS = (2, 1)
 AUTO_MAX_RADIUS = 3

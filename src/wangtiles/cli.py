@@ -18,11 +18,11 @@ from .certify import certify
 from .core import ParseError, WangTileSet, emit_tileset, parse_tileset
 from .corpus import BUILTIN_NAMES, builtin
 from .derivation import MarkerSet, derive, find_marker_candidates, verify_markers
-from .morphism import Morphism2d, Word2d, iterate
+from .morphism import Morphism2d, Word2d, incidence_matrix, iterate
 from .render import render, render_morphism, stone_geometry_u, stone_render
-from .solver import dominoes_with_surrounding, patterns_with_surrounding
-from .spectral import char_poly, exact_perron_frequencies, perron
-from .morphism import incidence_matrix, is_primitive
+from .solver import dominoes_with_surrounding, is_valid_pattern, patterns_with_surrounding
+from .spectral import char_poly, exact_perron_frequencies, is_primitive, perron
+from .suite import run_suite
 
 
 class UsageError(ValueError):
@@ -30,10 +30,8 @@ class UsageError(ValueError):
 
 
 def load_tileset(ref: str) -> WangTileSet:
-    if ref in ("U", "V", "W"):
-        payload = builtin(ref).payload
-        assert isinstance(payload, WangTileSet)
-        return payload
+    if ref in BUILTIN_NAMES and builtin(ref).kind == "tileset":
+        return builtin(ref).payload
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"no such tile set: {ref!r} (builtins: U, V, W)")
@@ -44,10 +42,8 @@ def load_tileset(ref: str) -> WangTileSet:
 
 
 def load_morphism(ref: str, domain: Optional[str], codomain: Optional[str]) -> Morphism2d:
-    if ref in ("alpha", "beta", "gamma", "omega"):
-        payload = builtin(ref).payload
-        assert isinstance(payload, Morphism2d)
-        return payload
+    if ref in BUILTIN_NAMES and builtin(ref).kind == "morphism":
+        return builtin(ref).payload
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"no such morphism: {ref!r} (builtins: alpha, beta, gamma, omega)")
@@ -166,8 +162,6 @@ def cmd_render(args) -> int:
         raise UsageError("give one of --pattern, --iterate, --letter, --morphism")
     if any(a < 0 or a >= len(T) for a in pattern.letters()):
         raise UsageError(f"pattern uses tile indices outside 0..{len(T) - 1}")
-    from .solver import is_valid_pattern
-
     if not is_valid_pattern(T, pattern):
         print("warning: pattern has mismatched edges; rendering with markers", file=sys.stderr)
     if args.stone:
@@ -190,7 +184,7 @@ def cmd_spectral(args) -> int:
     exponent = is_primitive(M)
     lines.append(f"primitivity exponent: {exponent}")
     if exponent is not None:
-        value, right, left = perron(M, 1e-12)
+        value = perron(M)
         lines.append(f"dominant eigenvalue: {value:.12f}")
         try:
             lam, freqs = exact_perron_frequencies(M)
@@ -262,8 +256,6 @@ def _write_figures(directory: str, name: str, T: WangTileSet) -> None:
 
 
 def cmd_suite(args) -> int:
-    from .suite import run_suite
-
     failures, lines = run_suite(args.filter, args.verbose)
     _write(args.out, "".join(line + "\n" for line in lines))
     return 0 if failures == 0 else 1

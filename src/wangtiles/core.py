@@ -202,21 +202,18 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
 
     s_tiles = list(S)
 
-    def candidates(t: WangTile) -> list[int]:
-        out = []
-        for j, s in enumerate(s_tiles):
-            if (
-                vsig_t[t.right] == vsig_s[s.right]
-                and vsig_t[t.left] == vsig_s[s.left]
-                and hsig_t[t.top] == hsig_s[s.top]
-                and hsig_t[t.bottom] == hsig_s[s.bottom]
-                and (t.right == t.left) == (s.right == s.left)
-                and (t.top == t.bottom) == (s.top == s.bottom)
-            ):
-                out.append(j)
-        return out
+    # A T tile may map only to the S tiles with the same signature key: the
+    # signatures of its four colors and which of its opposite edges agree.
+    def key(t: WangTile, vsig: dict[str, tuple], hsig: dict[str, tuple]) -> tuple:
+        return (
+            vsig[t.right], vsig[t.left], hsig[t.top], hsig[t.bottom],
+            t.right == t.left, t.top == t.bottom,
+        )
 
-    cand = [candidates(t) for t in T]
+    by_key: dict[tuple, list[int]] = {}
+    for j, s in enumerate(s_tiles):
+        by_key.setdefault(key(s, vsig_s, hsig_s), []).append(j)
+    cand = [by_key.get(key(t, vsig_t, hsig_t), []) for t in T]
     order = sorted(range(len(T)), key=lambda i: len(cand[i]))
 
     vmap: dict[str, str] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import WangTileSet
-from .spectral import IntMatrix, is_primitive  # noqa: F401  (re-exported)
+from .spectral import GoldenRational, IntMatrix, exact_perron_frequencies
 
 
 class ShapeError(ValueError):
@@ -208,6 +208,16 @@ def incidence_matrix(m: Morphism2d) -> IntMatrix:
             for a in col:
                 rows[a][j] += 1
     return IntMatrix(rows)
+
+
+def frequencies(m: Morphism2d) -> tuple[list[GoldenRational], list[float]]:
+    """Letter frequencies of a primitive self-morphism, exact and decimal.
+
+    The right Perron vector of the incidence matrix, scaled to sum exactly
+    to 1 in Q(phi).  Refuses non-primitive morphisms.
+    """
+    _, exact = exact_perron_frequencies(incidence_matrix(m))
+    return exact, [float(f) for f in exact]
 
 
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:

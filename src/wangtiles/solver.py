@@ -25,7 +25,7 @@ their answer depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Literal, Mapping, Optional, Union
 
@@ -71,9 +71,8 @@ def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Per-tile-set adjacency bitmasks, built once per query batch."""
+    """Per-tile-set adjacency bitmasks and surrounding memo, built once per tile set."""
 
-    n: int
     full: int
     right_succ: tuple[int, ...]   # tiles that may sit east of t
     left_pred: tuple[int, ...]    # tiles that may sit west of t
@@ -86,6 +85,9 @@ class _Tables:
     left_chunks: tuple[tuple[int, ...], ...]
     top_chunks: tuple[tuple[int, ...], ...]
     bottom_chunks: tuple[tuple[int, ...], ...]
+    # Pattern -> (largest radius known to survive, smallest radius known to
+    # fail or None); filled by the surrounding queries, shared on purpose.
+    known: dict[Word2d, tuple[int, Optional[int]]] = field(default_factory=dict, compare=False)
 
 
 def _chunk_tables(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -98,11 +100,11 @@ def _chunk_tables(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(chunks)
 
 
-# Small on purpose: the chunk tables take tens of kilobytes per tile set, and
-# every fresh relabeling of a tile set gets its own entry.
+# Small on purpose: the chunk tables take tens of kilobytes per tile set, the
+# memo grows with every query, and every fresh relabeling of a tile set gets
+# its own entry.
 @lru_cache(maxsize=8)
 def _tables(T: WangTileSet) -> _Tables:
-    n = len(T)
     by_left: dict[str, int] = {}
     by_right: dict[str, int] = {}
     by_bottom: dict[str, int] = {}
@@ -117,8 +119,7 @@ def _tables(T: WangTileSet) -> _Tables:
     top_succ = tuple(by_bottom.get(t.top, 0) for t in T)
     bottom_pred = tuple(by_top.get(t.bottom, 0) for t in T)
     return _Tables(
-        n=n,
-        full=(1 << n) - 1,
+        full=(1 << len(T)) - 1,
         right_succ=right_succ,
         left_pred=left_pred,
         top_succ=top_succ,
@@ -328,14 +329,6 @@ def domino(i: int, j: int, direction: int) -> Word2d:
     return Word2d(((i,), (j,))) if direction == 1 else Word2d(((i, j),))
 
 
-# Per tile set: pattern -> (largest radius known to survive, smallest radius
-# known to fail or None).  Bounded like _tables, since every fresh relabeling
-# of a tile set gets its own entry; the dict is shared on purpose.
-@lru_cache(maxsize=8)
-def _known(T: WangTileSet) -> dict[Word2d, tuple[int, Optional[int]]]:
-    return {}
-
-
 def _survives(
     T: WangTileSet, known: dict[Word2d, tuple[int, Optional[int]]], pattern: Word2d, radius: int
 ) -> bool:
@@ -370,7 +363,7 @@ def surviving_dominoes(
         raise ValueError("direction must be 1 or 2")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    known = _known(T)
+    known = _tables(T).known
     return (
         (i, j)
         for i, u in enumerate(T)
@@ -399,7 +392,7 @@ def patterns_with_surrounding(
         raise ValueError("shape components must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    known = _known(T)
+    known = _tables(T).known
     return sorted(
         p for p in solve_rectangle(T, w, h, None, "enumerate") if _survives(T, known, p, radius)
     )

@@ -1,14 +1,14 @@
 """Exact integer and golden-ratio arithmetic for spectral verification.
 
-Everything is arbitrary precision: matrices over the integers, polynomials
-over the integers, and numbers a + b*phi in the quadratic ring Z[phi] with
-phi**2 = phi + 1.  Floating point appears only in the power iteration and in
-display helpers.
+A leaf module: it imports nothing from the package.  Everything is arbitrary
+precision: matrices over the integers, polynomials over the integers, and
+numbers a + b*phi in the quadratic ring Z[phi] with phi**2 = phi + 1.
+Floating point appears only in ``perron``, the float Perron root from which
+the exact eigenvalue is recognized, and in display helpers.
 
 Exact eigenvectors come from fraction-free Gauss-Jordan elimination on
 (a, b) integer pairs of Z[phi]: no fraction is formed while eliminating, and
-the integer kernel vector is divided once, at the end, either by its entry
-in the free column (golden_kernel_vector) or by its sum (the frequencies).
+the integer kernel vector is divided once, at the end, by its sum.
 """
 
 from __future__ import annotations
@@ -353,47 +353,39 @@ def golden_eigencheck(
     )
 
 
-def _power_iteration(A: IntMatrix, tolerance: float = 1e-12) -> tuple[float, list[float]]:
-    """Dominant value and vector of A by power iteration from the all-ones vector.
-
-    Stops when successive Rayleigh quotients differ by less than the
-    tolerance; the vector is scaled so that its first nonzero entry is 1.
-    """
-    v = [1.0] * A.n
-    value = 0.0
-    for _ in range(10000):
-        w = [sum(a * x for a, x in zip(row, v)) for row in A.rows]
-        norm = max(abs(x) for x in w)
-        w = [x / norm for x in w]
-        rayleigh = sum(
-            wi * sum(a * x for a, x in zip(row, w)) for wi, row in zip(w, A.rows)
-        ) / sum(x * x for x in w)
-        if abs(rayleigh - value) < tolerance:
-            v = w
-            value = rayleigh
-            break
-        v, value = w, rayleigh
-    first = next(x for x in v if abs(x) > 1e-15)
-    return value, [x / first for x in v]
+# perron stops once successive Rayleigh quotients differ by less than this.
+PERRON_TOLERANCE = 1e-12
+# recognize_golden accepts a + b*phi this close to the float value.
+GOLDEN_TOLERANCE = 1e-6
 
 
-def perron(M: IntMatrix, tolerance: float = 1e-12) -> tuple[float, list[float], list[float]]:
-    """Perron data (value, right vector, left vector) by power iteration.
+def perron(M: IntMatrix) -> float:
+    """Perron root of a primitive matrix, as a float, by power iteration.
 
-    Starts from the all-ones vector; stops when successive Rayleigh quotients
-    differ by less than the tolerance.  Vectors are normalized so that the
-    first nonzero entry equals 1.  Refuses non-primitive input, for which the
-    Perron vector need not be unique.
+    Starts from the all-ones vector.  Each step scales the vector by its
+    largest entry, multiplies it by M once and takes the Rayleigh quotient;
+    the product is the next step's vector.  Stops when successive quotients
+    differ by less than PERRON_TOLERANCE, or after 10,000 steps.  Refuses
+    non-primitive input, whose dominant eigenvalue need not be simple.
     """
     if is_primitive(M) is None:
         raise ValueError("matrix is not primitive")
-    value, right = _power_iteration(M, tolerance)
-    _, left = _power_iteration(M.transpose(), tolerance)
-    return value, right, left
+    v = [1.0] * M.n
+    w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
+    value = 0.0
+    for _ in range(10000):
+        norm = max(w)  # M is nonnegative and primitive, so w is positive
+        v = [x / norm for x in w]
+        w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
+        rayleigh = sum(x * y for x, y in zip(v, w)) / sum(x * x for x in v)
+        if abs(rayleigh - value) < PERRON_TOLERANCE:
+            return rayleigh
+        value = rayleigh
+    return value
 
 
-def recognize_golden(x: float, max_b: int = 64, tol: float = 1e-6) -> Optional[GoldenNumber]:
-    """Nearest a + b*phi with small |b|, if within tolerance.
+def recognize_golden(x: float, max_b: int = 64) -> Optional[GoldenNumber]:
+    """Nearest a + b*phi with |b| <= max_b, if within GOLDEN_TOLERANCE.
 
     Candidates are tried by increasing |b| so the simplest representation
     wins.  Callers must verify the result exactly; this is only a guess.
@@ -401,7 +393,7 @@ def recognize_golden(x: float, max_b: int = 64, tol: float = 1e-6) -> Optional[G
     for k in range(0, max_b + 1):
         for b in ((k,) if k == 0 else (k, -k)):
             a = round(x - b * PHI_FLOAT)
-            if abs(a + b * PHI_FLOAT - x) < tol:
+            if abs(a + b * PHI_FLOAT - x) < GOLDEN_TOLERANCE:
                 return GoldenNumber(a, b)
     return None
 
@@ -467,22 +459,6 @@ def _integer_kernel(
     return x[free], x
 
 
-def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
-    """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
-
-    Fraction-free elimination on (a, b) pairs of Z[phi]; the integer kernel
-    vector is divided once, at the end, by its entry in the first free
-    column, which becomes 1.  The kernel is one-dimensional for the dominant
-    eigenvalue of a primitive matrix.
-    """
-    kernel = _integer_kernel(M, eigenvalue)
-    if kernel is None:
-        return None
-    d, x = kernel
-    den = GoldenRational.of(d)
-    return [GoldenRational.of(g) / den for g in x]
-
-
 def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRational]]:
     """Exact dominant eigenvalue in Z[phi] and right eigenvector scaled to sum 1.
 
@@ -491,9 +467,7 @@ def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRat
     before it is normalized: if either check fails the function raises, it
     never returns an unverified guess.
     """
-    if is_primitive(M) is None:
-        raise ValueError("matrix is not primitive")
-    value, _ = _power_iteration(M)
+    value = perron(M)
     # If lam = a + b*phi is an eigenvalue of the integer matrix M, so is its
     # conjugate lam', and |lam'| <= lam; hence |b|*sqrt(5) = |lam - lam'| <= 2*lam.
     lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
@@ -512,16 +486,3 @@ def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRat
     if any(float(f) <= 0 for f in freqs):
         freqs = [-f for f in freqs]
     return lam, freqs
-
-
-def frequencies(m) -> tuple[list[GoldenRational], list[float]]:
-    """Letter frequencies of a primitive self-morphism, exact and decimal.
-
-    The right Perron vector of the incidence matrix, scaled to sum exactly
-    to 1 in Q(phi).  Refuses non-primitive morphisms.
-    """
-    from .morphism import incidence_matrix  # local import; morphism uses this module
-
-    _, exact = exact_perron_frequencies(incidence_matrix(m))
-    return exact, [float(f) for f in exact]
-

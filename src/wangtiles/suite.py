@@ -26,7 +26,6 @@ from .morphism import (
     concat,
     factors_2x2,
     incidence_matrix,
-    is_primitive,
     iterate,
 )
 from .render import stone_geometry_u
@@ -45,6 +44,7 @@ from .spectral import (
     char_poly,
     exact_perron_frequencies,
     golden_eigencheck,
+    is_primitive,
     perron,
 )
 
@@ -245,7 +245,7 @@ def criterion_08_spectral() -> CheckResult:
         * IntPolynomial([1, -3, 1]) * IntPolynomial([-1, 1, 1]) ** 3
     )
     poly_ok = char_poly(M) == claimed
-    value, _, _ = perron(M, 1e-12)
+    value = perron(M)
     perron_ok = abs(value - (3 + math.sqrt(5)) / 2) < 1e-9
     lam = GoldenNumber(1, 1)
     right_ok = golden_eigencheck(M, lam, right_eigenvector(), "right")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
+from wangtiles import spectral
 from wangtiles.core import WangTile, WangTileSet
 from wangtiles.morphism import Morphism2d, Word2d
-from wangtiles.spectral import IntMatrix
+from wangtiles.spectral import GoldenNumber, GoldenRational, IntMatrix
 
 
 def identity_morphism(ts: WangTileSet) -> Morphism2d:
@@ -22,3 +25,17 @@ def relabel(ts: WangTileSet, vertical: dict[str, str], horizontal: dict[str, str
         WangTile(vertical[t.right], horizontal[t.top], vertical[t.left], horizontal[t.bottom])
         for t in ts
     )
+
+
+def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
+    """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
+
+    The library's fraction-free integer kernel vector, divided once by its
+    entry in the first free column, which becomes 1.
+    """
+    kernel = spectral._integer_kernel(M, eigenvalue)
+    if kernel is None:
+        return None
+    d, x = kernel
+    den = GoldenRational.of(d)
+    return [GoldenRational.of(g) / den for g in x]

@@ -142,7 +142,7 @@ def test_rectangle_solve_count(monkeypatch, name, plan, solves):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_rectangle", counted)
-    solver._known.cache_clear()
+    solver._tables.cache_clear()
     assert certify(builtin(name).payload, name, plan).all_verified()
     assert calls == solves
 
@@ -161,6 +161,6 @@ def test_derive_count(monkeypatch, name, plan, derives):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, "derive", counted)
-    solver._known.cache_clear()
+    solver._tables.cache_clear()
     assert certify(builtin(name).payload, name, plan).all_verified()
     assert calls == derives

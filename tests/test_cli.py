@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,9 @@ from wangtiles import derivation
 from wangtiles.cli import main
 from wangtiles.core import parse_tileset
 from wangtiles.corpus import builtin
+from wangtiles.morphism import compose
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -197,6 +201,7 @@ class TestSpectralCommand:
         assert code == 0
         assert "primitivity exponent: 7" in out
         assert "1 + phi" in out
+        assert out == (DATA / "spectral_omega.txt").read_text()
 
     def test_gamma_not_primitive(self, capsys):
         code, out, _ = run(capsys, "spectral", "gamma")
@@ -205,8 +210,6 @@ class TestSpectralCommand:
 
     def test_sixth_power_of_omega_has_exact_frequencies(self, capsys, tmp_path):
         # Its Perron root phi^12 = 89 + 144*phi lies past a fixed |b| <= 64 search.
-        from wangtiles.morphism import compose
-
         omega = builtin("omega").payload
         m = omega
         for _ in range(5):
@@ -217,6 +220,7 @@ class TestSpectralCommand:
         assert code == 0
         assert "exact eigenvalue: 89 + 144*phi" in out
         assert "unavailable" not in out
+        assert out == (DATA / "spectral_omega6.txt").read_text()
 
 
 class TestCorpusExport:
@@ -273,6 +277,14 @@ class TestCertify:
     def test_unknown_tileset(self, capsys):
         code, _, err = run(capsys, "certify", "Q")
         assert code == 2
+
+    def test_builtin_of_the_wrong_kind_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "certify", "omega")
+        assert code == 2
+        assert "no such tile set" in err
+        code, _, err = run(capsys, "spectral", "U")
+        assert code == 2
+        assert "no such morphism" in err
 
 
     def test_v_with_explicit_plan(self, capsys):

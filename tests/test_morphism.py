@@ -18,12 +18,11 @@ from wangtiles.morphism import (
     concat,
     factors_2x2,
     incidence_matrix,
-    is_primitive,
     iterate,
     subwords,
 )
 from wangtiles.solver import is_valid_pattern
-from wangtiles.spectral import IntMatrix
+from wangtiles.spectral import IntMatrix, is_primitive
 
 from helpers import identity_matrix, identity_morphism
 

@@ -14,7 +14,6 @@ from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, iterate
 from wangtiles.solver import (
     _initial_masks,
-    _known,
     _propagate,
     _solutions,
     _tables,
@@ -302,7 +301,7 @@ class TestSurroundings:
     @pytest.mark.parametrize("T, direction, top", [(U, 2, 3), (U, 1, 3), (V, 1, 2), (V, 2, 2)])
     def test_memoized_layer_matches_from_scratch(self, T, direction, top):
         # Cold cache, highest radius first: the lower radii are filled on the way.
-        _known.cache_clear()
+        _tables.cache_clear()
         layered = {r: dominoes_with_surrounding(T, direction, r) for r in range(top, -1, -1)}
         for r, got in layered.items():
             assert got == from_scratch_dominoes(T, direction, r), r
@@ -330,7 +329,7 @@ class TestSurroundings:
         shuffled = list(expected)
         random.Random(4).shuffle(shuffled)
         for order in (ascending, ascending[::-1], shuffled):
-            _known.cache_clear()
+            _tables.cache_clear()
             solved.clear()
             for T, d, r in order:
                 assert dominoes_with_surrounding(T, d, r) == expected[T, d, r], (d, r)
