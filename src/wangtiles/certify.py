@@ -14,6 +14,14 @@ tries e2 then e1 with radii 1..3 and takes the first candidate whose
 regrouping is stable: the singles and fusions read off the radius r+1
 dominoes equal those of the derivation at radius r.  Stability compares
 only those two tuples, so no second derivation is built.
+
+The 2x2 step compares the factors of the self-map omega with the patterns
+that admit a radius-r surrounding.  Since omega is primitive, every factor
+occurs in omega^k(a) once k is large, so before each radius one inflation
+patch of omega is grown and harvested: a valid patch witnesses the
+surroundings of the factors inside it, with no pinned search each.  The
+patch grows until every factor is witnessed at r, or until it has more cells
+than the pinned rectangles it would replace.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ from .derivation import Derivation, derive, find_marker_candidates, regroup
 from .morphism import (
     Morphism2d,
     Word2d,
+    apply,
     compose,
     factors_2x2,
     incidence_matrix,
 )
-from .solver import patterns_with_surrounding
+from .solver import harvest, known_to_survive, patterns_with_surrounding
 from .spectral import is_primitive
 
 AUTO_DIRECTIONS = (2, 1)
@@ -97,6 +106,25 @@ def _step(T: WangTileSet, spec: Optional[tuple[int, int]]) -> Optional[Derivatio
             if spec is not None or regroup(T, markers, radius + 1) == (d.singles, d.fusions):
                 return d
     return None
+
+
+def _witness(
+    T: WangTileSet, omega: Morphism2d, factors: set[Word2d], radius: int, patch: Word2d
+) -> Word2d:
+    """Grow the inflation patch by omega, harvesting each level, until every
+    factor is known to survive at the radius or the patch has more cells than
+    the pinned rectangles of the factors still unwitnessed; return the patch.
+
+    factors_2x2 has applied omega to every 2x2 factor, so omega applies to
+    the patch; omega is primitive, so the patch grows and the loop ends."""
+    side = 2 + 4 * radius  # a pinned 2x2 surrounding is side x side
+    while True:
+        missing = sum(1 for f in factors if not known_to_survive(T, f, radius))
+        width, height = patch.shape
+        if not missing or width * height > missing * side * side:
+            return patch
+        patch = apply(omega, patch)
+        harvest(T, patch)
 
 
 def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Certificate:
@@ -222,7 +250,9 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     factors = factors_2x2(omega)
     minimal = False
     evidence: dict = {"factorCount": len(factors)}
+    patch = Word2d.letter(0)
     for r in range(1, AUTO_MAX_RADIUS + 1):
+        patch = _witness(T, omega, factors, r, patch)
         admitted = set(patterns_with_surrounding(T, (2, 2), r))
         evidence["admittedCount"] = len(admitted)
         evidence["radius"] = r

@@ -210,10 +210,18 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             t.right == t.left, t.top == t.bottom,
         )
 
+    # by_edge holds the same lists cut by the color on one edge (0-3 in
+    # as_tuple order), so a tile with a bound color tries only the S tiles
+    # that carry its image.
     by_key: dict[tuple, list[int]] = {}
+    by_edge: dict[tuple, list[int]] = {}
     for j, s in enumerate(s_tiles):
-        by_key.setdefault(key(s, vsig_s, hsig_s), []).append(j)
-    cand = [by_key.get(key(t, vsig_t, hsig_t), []) for t in T]
+        k = key(s, vsig_s, hsig_s)
+        by_key.setdefault(k, []).append(j)
+        for edge, color in enumerate(s.as_tuple()):
+            by_edge.setdefault((k, edge, color), []).append(j)
+    t_keys = [key(t, vsig_t, hsig_t) for t in T]
+    cand = [by_key.get(k, []) for k in t_keys]
     order = sorted(range(len(T)), key=lambda i: len(cand[i]))
 
     vmap: dict[str, str] = {}
@@ -238,17 +246,32 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             del mapping[a]
             used_set.discard(b)
 
+    def candidates(i: int) -> list[int]:
+        """cand[i] without the S tiles that clash with a bound color of T[i]."""
+        best = cand[i]
+        for edge, color in enumerate(T[i].as_tuple()):
+            mapping = vmap if edge % 2 == 0 else hmap
+            if color in mapping:
+                cut = by_edge.get((t_keys[i], edge, mapping[color]), [])
+                if len(cut) < len(best):
+                    best = cut
+        return best
+
     # Depth-first over ``order`` with an explicit stack, so the depth is not
-    # bounded by the recursion limit.  stack[k] holds the position in
-    # cand[order[k]] of the tile chosen at depth k and the bindings it made;
-    # candidates are tried in list order, as a recursive search would.
-    stack: list[tuple[int, list]] = []
+    # bounded by the recursion limit.  stack[k] holds the candidate list of
+    # depth k, the position in it of the tile chosen there and the bindings
+    # it made; candidates are tried in cand order, as a recursive search
+    # would, skipping only tiles that a bound color rules out.
+    stack: list[tuple[list[int], int, list]] = []
+    options: list[int] = []
     start = 0
     while len(stack) < len(order):
         i = order[len(stack)]
         t = T[i]
-        for p in range(start, len(cand[i])):
-            j = cand[i][p]
+        if start == 0:  # a new depth, not a return to one
+            options = candidates(i)
+        for p in range(start, len(options)):
+            j = options[p]
             if j in used:
                 continue
             s = s_tiles[j]
@@ -261,14 +284,14 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             ):
                 used.add(j)
                 tile_map[i] = j
-                stack.append((p, trail))
+                stack.append((options, p, trail))
                 start = 0
                 break
             unbind(trail)
         else:
             if not stack:
                 return None
-            p, trail = stack.pop()
+            options, p, trail = stack.pop()
             used.discard(tile_map.pop(order[len(stack)]))
             unbind(trail)
             start = p + 1

@@ -209,13 +209,21 @@ def regroup(
 
     The singles are the non-markers that can be followed by another
     non-marker, in source order; the fusions are the (non-marker, marker)
-    dominoes, in domino-pair order.
+    dominoes, in domino-pair order.  Only dominoes that start with a
+    non-marker are asked about, and a non-marker's successors only until one
+    survives.
     """
     M = markers.tile_indices
-    D = dominoes_with_surrounding(T, markers.direction, radius)
-    singles = tuple(sorted({i for i, j in D if i not in M and j not in M}))
-    fusions = tuple((i, j) for i, j in D if i not in M and j in M)
-    return singles, fusions
+    direction = markers.direction
+    singles: list[int] = []
+    # The pairs come in sorted order, so once i is a single the filter skips
+    # its remaining successors without solving them.
+    for i, _ in surviving_dominoes(
+        T, direction, radius, lambda i, j: i not in M and j not in M and i not in singles[-1:]
+    ):
+        singles.append(i)
+    fusions = dominoes_with_surrounding(T, direction, radius, lambda i, j: i not in M and j in M)
+    return tuple(singles), tuple(fusions)
 
 
 def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:

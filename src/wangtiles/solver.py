@@ -16,11 +16,13 @@ over any candidate set costs one lookup per chunk.  The tables are built
 lazily, on the first query for a tile set.
 
 Surroundings are answered one pattern at a time through a memo kept per
-tile set: for each domino or block asked about, the largest radius known to
-survive and the smallest known to fail.  Surroundings are monotone in the
-radius, so a question at radius r solves only the radii still unknown,
-lowest first, and callers such as the marker checks ask only about the pairs
-their answer depends on.
+tile set: for each domino or block, the largest radius known to survive and
+the smallest known to fail.  Surroundings are monotone in the radius, so a
+question at radius r solves only the radii still unknown, lowest first, and
+callers such as the marker checks ask only about the pairs their answer
+depends on.  The memo is filled by those searches and by harvested patches:
+a valid patch is a surrounding witness for every domino and block inside it,
+at the largest radius whose window fits in the patch.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class _Tables:
     top_chunks: tuple[tuple[int, ...], ...]
     bottom_chunks: tuple[tuple[int, ...], ...]
     # Pattern -> (largest radius known to survive, smallest radius known to
-    # fail or None); filled by the surrounding queries, shared on purpose.
+    # fail or None); filled by the surrounding queries and by harvest(),
+    # shared on purpose.
     known: dict[Word2d, tuple[int, Optional[int]]] = field(default_factory=dict, compare=False)
 
 
@@ -347,6 +350,40 @@ def _survives(
     return True
 
 
+def harvest(T: WangTileSet, patch: Word2d) -> None:
+    """Record the dominoes and 2x2 blocks of a valid patch as surviving.
+
+    A pattern of shape (a, b) at (x, y) in a W x H patch survives at radius
+    min(x//a, (W-x-a)//a, y//b, (H-y-b)//b): the window of that surrounding
+    lies inside the patch.  Each pattern's known radius is raised to the best
+    such radius of 1 or more; an invalid patch records nothing.
+    """
+    if not is_valid_pattern(T, patch):
+        return
+    known = _tables(T).known
+    columns = patch.columns
+    width, height = patch.shape
+    for a, b in ((2, 1), (1, 2), (2, 2)):
+        best: dict[tuple[tuple[int, ...], ...], int] = {}
+        for x in range(a, width - 2 * a + 1):
+            rx = min(x // a, (width - x - a) // a)
+            for y in range(b, height - 2 * b + 1):
+                r = min(rx, y // b, (height - y - b) // b)
+                key = tuple(col[y : y + b] for col in columns[x : x + a])
+                if r > best.get(key, 0):
+                    best[key] = r
+        for key, r in best.items():
+            pattern = Word2d(key)
+            alive, dead = known.get(pattern, (-1, None))
+            if r > alive:
+                known[pattern] = (r, dead)
+
+
+def known_to_survive(T: WangTileSet, pattern: Word2d, radius: int) -> bool:
+    """Is the pattern already known, without solving, to survive at the radius?"""
+    return radius <= _tables(T).known.get(pattern, (-1, None))[0]
+
+
 def surviving_dominoes(
     T: WangTileSet,
     direction: int,
@@ -375,11 +412,15 @@ def surviving_dominoes(
 
 
 def dominoes_with_surrounding(
-    T: WangTileSet, direction: int, radius: int
+    T: WangTileSet,
+    direction: int,
+    radius: int,
+    where: Optional[Callable[[int, int], bool]] = None,
 ) -> list[tuple[int, int]]:
     """Ordered index pairs (i, j) whose domino along the axis extends to a
-    valid rectangle with a ring of ``radius`` domino-copies on every side."""
-    return list(surviving_dominoes(T, direction, radius))
+    valid rectangle with a ring of ``radius`` domino-copies on every side;
+    only the pairs that satisfy ``where`` are asked about."""
+    return list(surviving_dominoes(T, direction, radius, where))
 
 
 def patterns_with_surrounding(

@@ -130,8 +130,9 @@ def test_certificate_matches_golden_bytes(name, plan, golden):
 
 
 # Exact rectangle-solve counts from a cold surrounding memo: a change that
-# silently recomputes surroundings moves them.
-@pytest.mark.parametrize("name, plan, solves", [("U", "auto", 380), ("V", [(1, 1), (2, 2)], 381)])
+# silently recomputes surroundings moves them.  The 2x2 factors' surroundings
+# come from the harvested inflation patch, not from pinned solves.
+@pytest.mark.parametrize("name, plan, solves", [("U", "auto", 248), ("V", [(1, 1), (2, 2)], 217)])
 def test_rectangle_solve_count(monkeypatch, name, plan, solves):
     calls = 0
     real = solver.solve_rectangle
@@ -145,6 +146,39 @@ def test_rectangle_solve_count(monkeypatch, name, plan, solves):
     solver._tables.cache_clear()
     assert certify(builtin(name).payload, name, plan).all_verified()
     assert calls == solves
+
+
+# Every fact a certify run leaves in the surrounding memos, whether solved or
+# harvested from an inflation patch, holds when asked afresh.  A patch also
+# witnesses radii above any the run asks about; a fact is checked at most at
+# the top radius the run asked of its shape, since one radius-4 2x2
+# surrounding alone can take seconds to solve.
+@pytest.mark.parametrize("name, plan", [("U", "auto"), ("V", [(1, 1), (2, 2)]), ("W", "auto")])
+def test_memo_facts_hold_from_scratch(monkeypatch, name, plan):
+    real_tables, real_survives = solver._tables, solver._survives
+    memos = {}  # tile set -> its tables, kept past the cache's evictions
+    asked: dict[tuple[int, int], int] = {}
+
+    def survives(T, known, pattern, radius):
+        asked[pattern.shape] = max(radius, asked.get(pattern.shape, 0))
+        return real_survives(T, known, pattern, radius)
+
+    real_tables.cache_clear()
+    monkeypatch.setattr(solver, "_tables", lambda T: memos.setdefault(T, real_tables(T)))
+    monkeypatch.setattr(solver, "_survives", survives)
+    assert certify(builtin(name).payload, name, plan).all_verified()
+    monkeypatch.undo()
+    real_tables.cache_clear()
+    checked = 0
+    for T, tables in memos.items():
+        for pattern, (alive, dead) in tables.known.items():
+            if alive >= 0:
+                r = min(alive, asked[pattern.shape])
+                assert solver.pattern_has_surrounding(T, pattern, r), (pattern, r)
+            if dead is not None:
+                assert not solver.pattern_has_surrounding(T, pattern, dead), (pattern, dead)
+            checked += 1
+    assert checked > 100
 
 
 # Exact derive() calls from a cold surrounding memo: each derivation step

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -236,6 +237,31 @@ class TestEquivalence:
         assert eq is not None
         assert eq.vertical == vertical and eq.horizontal == horizontal
         assert eq.tile_map == {i: i for i in range(n)}
+
+    def test_bound_colors_keep_the_reversed_ring_linear(self):
+        # Against its reversed tile order, the ring's first tile fixes every
+        # later one through a bound color, so each tile binds its four colors
+        # once; trying the shared candidate list from the start instead makes
+        # hundreds of thousands of bind calls.
+        n = 1100
+        ring = WangTileSet(
+            WangTile(f"v{i}", f"h{i}", f"v{(i + 1) % n}", f"h{(i + 1) % n}") for i in range(n)
+        )
+        calls = 0
+
+        def count_binds(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "bind":
+                calls += 1
+
+        sys.setprofile(count_binds)
+        try:
+            eq = check_equivalence(ring, WangTileSet(list(ring)[::-1]))
+        finally:
+            sys.setprofile(None)
+        assert eq is not None
+        assert eq.tile_map == {i: (n - i) % n for i in range(n)}
+        assert calls <= 4 * n
 
     def test_inequivalent_same_size(self):
         a = parse_tileset("a x a x\nb y b y\n")

@@ -9,6 +9,7 @@ from wangtiles.derivation import (
     MarkerSet,
     derive,
     find_marker_candidates,
+    regroup,
     verify_markers,
 )
 from wangtiles.morphism import Word2d, apply, check_recognizability_criterion
@@ -79,6 +80,15 @@ def full_set_report(T, markers, direction, radius):
     return same, cross
 
 
+def full_set_regroup(T, markers, radius):
+    """The singles and fusions read off the full radius-r domino set along the axis."""
+    M = markers.tile_indices
+    D = dominoes_with_surrounding(T, markers.direction, radius)
+    singles = tuple(sorted({i for i, j in D if i not in M and j not in M}))
+    fusions = tuple((i, j) for i, j in D if i not in M and j in M)
+    return singles, fusions
+
+
 def component_unions(T, direction):
     """Tile sets induced by every nonempty proper union of crossing-color components."""
     links = [(t.left, t.right) if direction == 2 else (t.bottom, t.top) for t in T]
@@ -109,6 +119,10 @@ def test_marker_checks_match_full_domino_sets(T, direction, radius):
     found = find_marker_candidates(T, direction, radius)
     assert [m.tile_indices for m in found] == expected
     assert all(m.direction == direction for m in found)
+    # Every verified candidate is among the unions.
+    for M in unions:
+        m = MarkerSet(M, direction)
+        assert regroup(T, m, radius) == full_set_regroup(T, m, radius)
     # Singletons exercise the cross-axis condition, which component unions never break.
     for M in unions + [frozenset({i}) for i in range(len(T))]:
         report = verify_markers(T, M, direction, radius)

@@ -19,6 +19,7 @@ from wangtiles.solver import (
     _tables,
     _union,
     dominoes_with_surrounding,
+    harvest,
     is_valid_pattern,
     pattern_has_surrounding,
     patterns_with_surrounding,
@@ -352,3 +353,85 @@ class TestSurroundings:
         assert patterns_with_surrounding(U, (2, 2), 1) == patterns_with_surrounding(
             U, (2, 2), 1
         )
+
+
+def grid_tileset(width, height):
+    """One tile per cell of a width x height grid, every edge color its own,
+    so the grid pattern is valid and each of its windows is a distinct pattern."""
+    return WangTileSet(
+        WangTile(f"v{x + 1}.{y}", f"h{x}.{y + 1}", f"v{x}.{y}", f"h{x}.{y}")
+        for x in range(width)
+        for y in range(height)
+    )
+
+
+def grid_patch(width, height):
+    """The valid patch of grid_tileset(width, height): tile x * height + y at (x, y)."""
+    return Word2d(tuple(tuple(x * height + y for y in range(height)) for x in range(width)))
+
+
+def fitting_radii(patch):
+    """Each domino and block of the patch with the largest radius whose
+    surrounding rectangle lies inside the patch, by direct containment."""
+    width, height = patch.shape
+    for a, b in ((2, 1), (1, 2), (2, 2)):
+        for x in range(width - a + 1):
+            for y in range(height - b + 1):
+                r = 0
+                while (
+                    x - a * (r + 1) >= 0
+                    and x + a + a * (r + 1) <= width
+                    and y - b * (r + 1) >= 0
+                    and y + b + b * (r + 1) <= height
+                ):
+                    r += 1
+                cols = patch.columns[x : x + a]
+                yield Word2d(tuple(c[y : y + b] for c in cols)), r
+
+
+GRID = grid_tileset(6, 6)
+GRID_PATCH = grid_patch(6, 6)
+GRID_CENTER = Word2d(((14, 15), (20, 21)))  # the 2x2 block at (2, 2)
+
+
+class TestHarvest:
+    def test_six_by_six_patch(self):
+        _tables.cache_clear()
+        assert is_valid_pattern(GRID, GRID_PATCH)
+        harvest(GRID, GRID_PATCH)
+        known = _tables(GRID).known
+        assert known[GRID_CENTER] == (1, None)
+        assert Word2d(((0, 1), (6, 7))) not in known  # the corner block
+        assert Word2d(((0,), (6,))) not in known  # a domino on the border
+
+    # 10 x 13 has radius-2 windows, and its sides differ, so a margin off by
+    # one or a swapped axis changes some recorded radius.
+    @pytest.mark.parametrize("width, height", [(6, 6), (10, 13)])
+    def test_records_the_radius_of_each_window(self, width, height):
+        T, patch = grid_tileset(width, height), grid_patch(width, height)
+        _tables.cache_clear()
+        harvest(T, patch)
+        known = _tables(T).known
+        windows = dict(fitting_radii(patch))
+        assert known == {p: (r, None) for p, r in windows.items() if r > 0}
+        for p, (r, _) in known.items():
+            assert pattern_has_surrounding(T, p, r)
+
+    def test_invalid_patch_records_nothing(self):
+        _tables.cache_clear()
+        columns = [list(c) for c in GRID_PATCH.columns]
+        columns[2][2], columns[3][3] = columns[3][3], columns[2][2]
+        invalid = Word2d.from_columns(columns)
+        assert not is_valid_pattern(GRID, invalid)
+        harvest(GRID, invalid)
+        assert _tables(GRID).known == {}
+
+    def test_raises_but_never_lowers_a_known_radius(self):
+        _tables.cache_clear()
+        known = _tables(GRID).known
+        side = Word2d(((13,), (19,)))  # the horizontal domino at (2, 1), witnessed at 1
+        known[GRID_CENTER] = (2, 3)
+        known[side] = (0, 2)
+        harvest(GRID, GRID_PATCH)
+        assert known[GRID_CENTER] == (2, 3)
+        assert known[side] == (1, 2)
