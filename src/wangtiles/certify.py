@@ -8,17 +8,27 @@ patterns the solver admits.  Conclusions are only ever claimed from verified
 premises; a failing step leaves the remaining flags false rather than
 guessing.
 
-Each derivation step is one derive() call.  A planned step (direction,
-radius) takes the first verified marker candidate there.  The auto plan
-tries e2 then e1 with radii 1..3 and takes the first candidate whose
-regrouping is stable: the singles and fusions read off the radius r+1
-dominoes equal those of the derivation at radius r.  Stability compares
-only those two tuples, so no second derivation is built.
+A planned step (direction, radius) takes the first verified marker
+candidate there.  The auto plan tries e2 then e1 with radii 1..3 and takes
+the first candidate whose regrouping is stable: the singles and fusions read
+off the radius r+1 dominoes equal those of the derivation at radius r.
+Stability compares only those two tuples, so no second derivation is built.
+
+Stability is decided by that rule, but only once the patch below has been
+harvested.  Each step first takes its first candidate provisionally, and
+that chain yields the equivalence, omega and its primitivity.  One
+inflation patch of omega is grown and harvested into T's memo; each level
+passes through the once-derived set and is harvested into that set's memo
+too, so the patch witnesses the dominoes both stability checks ask about.
+Then the checks run in order.  From the first step whose first candidate
+fails its check, the rule runs unchanged, so the certificate is the rule's;
+a harvested patch is checked valid first, so it records only true facts
+whichever chain grew it.
 
 The 2x2 step compares the factors of the self-map omega with the patterns
 that admit a radius-r surrounding.  Since omega is primitive, every factor
-occurs in omega^k(a) once k is large, so before each radius one inflation
-patch of omega is grown and harvested: a valid patch witnesses the
+occurs in omega^k(a) once k is large, so before each radius the inflation
+patch of omega is grown further and harvested: a valid patch witnesses the
 surroundings of the factors inside it, with no pinned search each.  The
 patch grows until every factor is witnessed at r, or until it has more cells
 than the pinned rectangles it would replace.
@@ -29,7 +39,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .core import WangTileSet, check_equivalence
@@ -93,38 +104,104 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _step(T: WangTileSet, spec: Optional[tuple[int, int]]) -> Optional[Derivation]:
-    """The derivation for one plan entry (None: auto), by the rule in the module
-    docstring, or None when no candidate qualifies."""
+def _derivations(T: WangTileSet, spec: Optional[tuple[int, int]]) -> Iterator[Derivation]:
+    """The derivation of each marker candidate the plan entry (None: auto) may
+    take, lazily and in the rule's order."""
     if spec is None:
         tries = [(e, r) for e in AUTO_DIRECTIONS for r in range(1, AUTO_MAX_RADIUS + 1)]
     else:
         tries = [spec]
     for direction, radius in tries:
         for markers in find_marker_candidates(T, direction, radius):
-            d = derive(T, markers, radius)
-            if spec is not None or regroup(T, markers, radius + 1) == (d.singles, d.fusions):
-                return d
-    return None
+            yield derive(T, markers, radius)
 
 
-def _witness(
-    T: WangTileSet, omega: Morphism2d, factors: set[Word2d], radius: int, patch: Word2d
-) -> Word2d:
+class _Step:
+    """One plan entry on one tile set.  ``first`` is the derivation of its first
+    candidate, taken provisionally, and ``error`` the ValueError deriving it
+    raised; decide() applies the rule in the module docstring, deriving
+    further candidates only when the first fails the stability check."""
+
+    def __init__(self, T: WangTileSet, spec: Optional[tuple[int, int]]):
+        self.source, self.spec = T, spec
+        self._rest = _derivations(T, spec)
+        self.first: Optional[Derivation] = None
+        self.error: Optional[ValueError] = None
+        try:
+            self.first = next(self._rest, None)
+        except ValueError as e:  # e.g. colliding derived tiles on degenerate input
+            self.error = e
+
+    def _stable(self, d: Derivation) -> bool:
+        if self.spec is not None:
+            return True
+        return regroup(d.source, d.markers, d.radius + 1) == (d.singles, d.fusions)
+
+    def decide(self) -> Optional[Derivation]:
+        """The step's derivation, or None when no candidate qualifies."""
+        if self.error is not None:
+            raise self.error
+        if self.first is None or self._stable(self.first):
+            return self.first
+        return next((d for d in self._rest if self._stable(d)), None)
+
+
+class _SelfMap:
+    """The equivalence of T with the twice-derived set and, when there is one,
+    omega = outer o inner: outer is step 1's morphism and inner is step 2's
+    after the relabeling, a map from T to the once-derived set.  ``patch`` is
+    the inflation patch of omega grown so far."""
+
+    def __init__(self, T: WangTileSet, derivations: list[Derivation]):
+        self.derivations = derivations
+        d1, d2 = derivations
+        self.inner: Optional[Morphism2d] = None
+        self.omega: Optional[Morphism2d] = None
+        self.exponent: Optional[int] = None
+        self.patch = Word2d.letter(0)
+        self.eq = check_equivalence(T, d2.derived)
+        if self.eq is None:
+            return
+        relabeling = Morphism2d(
+            T, d2.derived, tuple(Word2d.letter(self.eq.tile_map[i]) for i in range(len(T)))
+        )
+        self.inner = compose(d2.morphism, relabeling)
+        self.omega = compose(d1.morphism, self.inner)
+        self.exponent = is_primitive(incidence_matrix(self.omega))
+
+    @property
+    def expansive(self) -> bool:
+        return self.exponent is not None and any(im.shape == (2, 2) for im in self.omega.images)
+
+    @cached_property
+    def factors(self) -> set[Word2d]:
+        return factors_2x2(self.omega)
+
+
+def _witness(T: WangTileSet, sm: _SelfMap, radius: int, between: bool = False) -> None:
     """Grow the inflation patch by omega, harvesting each level, until every
     factor is known to survive at the radius or the patch has more cells than
-    the pinned rectangles of the factors still unwitnessed; return the patch.
+    the pinned rectangles of the factors still unwitnessed.
 
-    factors_2x2 has applied omega to every 2x2 factor, so omega applies to
-    the patch; omega is primitive, so the patch grows and the loop ends."""
+    With ``between``, each level P' = outer(Q) passes through Q = inner(P), a
+    patch over the once-derived set, harvested into that set's memo for the
+    second step's stability check.  factors_2x2 has applied omega to every
+    2x2 factor, so omega applies to the patch; omega is primitive, so the
+    patch grows and the loop ends."""
+    outer = sm.derivations[0].morphism
     side = 2 + 4 * radius  # a pinned 2x2 surrounding is side x side
     while True:
-        missing = sum(1 for f in factors if not known_to_survive(T, f, radius))
-        width, height = patch.shape
+        missing = sum(1 for f in sm.factors if not known_to_survive(T, f, radius))
+        width, height = sm.patch.shape
         if not missing or width * height > missing * side * side:
-            return patch
-        patch = apply(omega, patch)
-        harvest(T, patch)
+            return
+        if between:
+            q = apply(sm.inner, sm.patch)
+            harvest(outer.domain, q)
+            sm.patch = apply(outer, q)
+        else:
+            sm.patch = apply(sm.omega, sm.patch)
+        harvest(T, sm.patch)
 
 
 def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Certificate:
@@ -157,12 +234,41 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
 
 
 def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate) -> None:
-    """Append each step to the certificate, stopping at the first that fails."""
+    """Append each step to the certificate, stopping at the first that fails.
+
+    Each step first takes its first candidate provisionally.  When that
+    chain reaches an expansive omega, its inflation patch is grown and
+    harvested before any stability check is asked, so the patch answers
+    them.  Then each step is decided by the rule, in order; from the first
+    step whose first candidate does not qualify on, the chain is derived
+    anew.
+    """
+    chain: list[_Step] = []
+    source = T
+    provisional: Optional[_SelfMap] = None
+    for spec in steps:
+        chain.append(_Step(source, spec))
+        first = chain[-1].first
+        if first is None or first.degenerate:
+            break
+        source = first.derived
+    else:
+        try:
+            provisional = _SelfMap(T, [c.first for c in chain])
+            if provisional.expansive:
+                _witness(T, provisional, 1, between=None in steps)
+        except ValueError:  # a morphism that does not assemble: decide without the patch
+            provisional = None
+
     derivations: list[Derivation] = []
     current = T
     for k, spec in enumerate(steps, start=1):
+        if k <= len(chain) and chain[k - 1].source is current:
+            step = chain[k - 1]
+        else:
+            step = _Step(current, spec)
         try:
-            d = _step(current, spec)
+            d = step.decide()
         except ValueError as e:  # e.g. colliding derived tiles on degenerate input
             d = None
             error: Optional[str] = str(e)
@@ -203,7 +309,10 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
         derivations.append(d)
         current = d.derived
 
-    eq = check_equivalence(T, current)
+    sm = provisional
+    if sm is None or any(a is not b for a, b in zip(sm.derivations, derivations)):
+        sm = _SelfMap(T, derivations)
+    eq = sm.eq
     cert.steps.append(
         Step(
             claim="twice-derived tile set is a color relabeling of the original",
@@ -222,23 +331,18 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     if eq is None:
         return
 
-    relabeling = Morphism2d(
-        T, current, tuple(Word2d.letter(eq.tile_map[i]) for i in range(len(T)))
-    )
-    omega = compose(compose(derivations[0].morphism, derivations[1].morphism), relabeling)
-    exponent = is_primitive(incidence_matrix(omega))
-    expansive = exponent is not None and any(im.shape == (2, 2) for im in omega.images)
+    omega = sm.omega
     cert.steps.append(
         Step(
             claim="composed self-map is primitive and expansive",
             evidence={
-                "primitivityExponent": exponent,
+                "primitivityExponent": sm.exponent,
                 "imageShapes": sorted({f"{a}x{b}" for a, b in (im.shape for im in omega.images)}),
             },
-            status="pass" if expansive else "fail",
+            status="pass" if sm.expansive else "fail",
         )
     )
-    if not expansive:
+    if not sm.expansive:
         return
 
     cert.self_similar = True
@@ -247,12 +351,11 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     # The admissible pattern set over-approximates the shift language at any
     # radius, so equality at any radius licenses the conclusion; escalate a
     # little before giving up.
-    factors = factors_2x2(omega)
+    factors = sm.factors
     minimal = False
     evidence: dict = {"factorCount": len(factors)}
-    patch = Word2d.letter(0)
     for r in range(1, AUTO_MAX_RADIUS + 1):
-        patch = _witness(T, omega, factors, r, patch)
+        _witness(T, sm, r)
         admitted = set(patterns_with_surrounding(T, (2, 2), r))
         evidence["admittedCount"] = len(admitted)
         evidence["radius"] = r

@@ -97,6 +97,8 @@ class WangTileSet:
             seen[t] = i
         self._tiles = tiles
         self._index = seen
+        # Tile sets key the solver's per-set tables, so they are hashed often.
+        self._hash = hash(tiles)
         self.vertical_colors = frozenset(c for t in tiles for c in (t.left, t.right))
         self.horizontal_colors = frozenset(c for t in tiles for c in (t.top, t.bottom))
 
@@ -113,7 +115,12 @@ class WangTileSet:
         return isinstance(other, WangTileSet) and self._tiles == other._tiles
 
     def __hash__(self) -> int:
-        return hash(self._tiles)
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: unpickling rebuilds the set,
+        # so the cached hash is computed afresh.
+        return (WangTileSet, (self._tiles,))
 
     def __repr__(self) -> str:
         return f"WangTileSet({len(self)} tiles)"

@@ -220,14 +220,62 @@ def frequencies(m: Morphism2d) -> tuple[list[GoldenRational], list[float]]:
     return exact, [float(f) for f in exact]
 
 
+# iterate() refuses a word of more cells than this before building any of it.
+# 2**22 cells hold about 32 MB of cell references.  Every letter of omega
+# passes at level 15 (at most 1597x1597 cells); from level 17 every letter
+# is refused.
+MAX_ITERATE_CELLS = 1 << 22
+
+
+class IterateTooLarge(ValueError):
+    """An iterate whose word would have more than MAX_ITERATE_CELLS cells."""
+
+
+def _check_iterate_size(m: Morphism2d, letter: int, n: int) -> None:
+    """Refuse, before building anything, an n-fold image over the cell limit.
+
+    The bottom row of apply(m, w) is the bottom rows of the images of w's
+    bottom-row letters side by side, and its left column is the left columns
+    of the images of w's left-column letters stacked.  So the letter counts
+    of each evolve by a fixed matrix read off the images, and the width and
+    height are their sums.  Neither shrinks, so the first level over the
+    limit decides.
+    """
+    bottom = [[col[0] for col in im.columns] for im in m.images]
+    left = [im.columns[0] for im in m.images]
+    row: dict[int, int] = {letter: 1}
+    column: dict[int, int] = {letter: 1}
+    for k in range(1, n + 1):
+        row, column = _image_counts(row, bottom), _image_counts(column, left)
+        width, height = sum(row.values()), sum(column.values())
+        if width * height > MAX_ITERATE_CELLS:
+            raise IterateTooLarge(
+                f"iteration step {k} would build a {width}x{height} word, over the"
+                f" limit of {MAX_ITERATE_CELLS} cells"
+            )
+
+
+def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for a, c in counts.items():
+        for b in edges[a]:
+            out[b] = out.get(b, 0) + c
+    return out
+
+
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
-    """n-fold application starting from the 1x1 word on the letter."""
+    """n-fold application starting from the 1x1 word on the letter.
+
+    Raises IterateTooLarge, before building anything, when the word would
+    have more than MAX_ITERATE_CELLS cells.
+    """
     if m.domain != m.codomain:
         raise ValueError("iteration requires domain == codomain")
     if not 0 <= letter < len(m.domain):
         raise ValueError(f"letter {letter} outside the domain 0..{len(m.domain) - 1}")
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
+    _check_iterate_size(m, letter, n)
     w = Word2d.letter(letter)
     for k in range(n):
         try:

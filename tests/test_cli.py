@@ -115,6 +115,11 @@ class TestIterateAndRender:
         rows = json.loads(out)
         assert len(rows) == 8 and len(rows[0]) == 13
 
+    def test_iterate_over_the_cell_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "iterate", "omega", "0", "60")
+        assert code == 2 and not out
+        assert err.startswith("error: iteration step 17 would build")
+
     def test_render_letter(self, capsys):
         code, out, _ = run(capsys, "render", "U", "--letter", "0", "--labels", "colors")
         assert code == 0

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
 import sys
 from itertools import permutations
 
@@ -81,6 +84,24 @@ class TestParsing:
         t = WangTile("A", "B", "C", "D")
         with pytest.raises(ValueError, match="duplicate"):
             WangTileSet([t, t])
+
+    def test_equal_sets_built_separately_hash_equal(self):
+        again = parse_tileset(emit_tileset(U))
+        assert again is not U and again == U and hash(again) == hash(U)
+        assert {U: 1}[again] == 1
+
+    def test_unpickled_set_hashes_like_a_fresh_one_in_another_process(self):
+        script = (
+            "import pickle, sys; from wangtiles.corpus import builtin;"
+            "T = pickle.loads(sys.stdin.buffer.read());"
+            "print(hash(T) == hash(builtin('U').payload) and T == builtin('U').payload)"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(U), env=env,
+            capture_output=True, check=True,
+        )
+        assert out.stdout.strip() == b"True"
 
     def test_whitespace_in_color_refused(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wangtiles import morphism
 from wangtiles.corpus import builtin
 from wangtiles.morphism import (
     CompositionError,
@@ -203,6 +204,37 @@ class TestIterate:
                 assert shape >= prev
                 prev = shape
             assert min(prev) > 6
+
+
+class TestIterateSizeGuard:
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        applied = 0
+        real = morphism.apply
+
+        def counted(*args):
+            nonlocal applied
+            applied += 1
+            return real(*args)
+
+        monkeypatch.setattr(morphism, "apply", counted)
+        monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", 100)
+        with pytest.raises(morphism.IterateTooLarge, match="step 5 would build a 13x8 word"):
+            iterate(omega, 4, 60)
+        assert applied == 0
+
+    def test_limit_is_exact(self, monkeypatch):
+        # The predicted shape is the built one: a limit of exactly the
+        # word's cells lets it through, one cell fewer refuses it.
+        for a in range(len(U)):
+            for n in range(6, 11):
+                w = iterate(omega, a, n)
+                cells = w.shape[0] * w.shape[1]
+                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", cells)
+                assert iterate(omega, a, n) == w
+                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", cells - 1)
+                with pytest.raises(morphism.IterateTooLarge):
+                    iterate(omega, a, n)
+                monkeypatch.undo()
 
 
 class TestFactors:
