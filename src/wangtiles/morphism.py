@@ -10,6 +10,7 @@ agree along each input row and image widths agree along each input column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .core import WangTileSet
@@ -176,14 +177,13 @@ def apply(m: Morphism2d, w: Word2d) -> Word2d:
                 raise DomainError(
                     f"image widths differ along column {x}: cells ({x},0) and ({x},{y})"
                 )
-    columns = []
-    for x in range(n1):
-        for k in range(widths[x]):
-            col: tuple[int, ...] = ()
-            for y in range(n2):
-                col = col + images[x][y].columns[k]
-            columns.append(col)
-    return Word2d(tuple(columns))
+    return Word2d(
+        tuple(
+            tuple(chain.from_iterable(im.columns[k] for im in images[x]))
+            for x in range(n1)
+            for k in range(widths[x])
+        )
+    )
 
 
 def compose(outer: Morphism2d, inner: Morphism2d) -> Morphism2d:
@@ -239,14 +239,17 @@ def _check_iterate_size(m: Morphism2d, letter: int, n: int) -> None:
     of the images of w's left-column letters stacked.  So the letter counts
     of each evolve by a fixed matrix read off the images, and the width and
     height are their sums.  Neither shrinks, so the first level over the
-    limit decides.
+    limit decides; once the counts repeat, they never change again.
     """
     bottom = [[col[0] for col in im.columns] for im in m.images]
     left = [im.columns[0] for im in m.images]
     row: dict[int, int] = {letter: 1}
     column: dict[int, int] = {letter: 1}
     for k in range(1, n + 1):
-        row, column = _image_counts(row, bottom), _image_counts(column, left)
+        counts = _image_counts(row, bottom), _image_counts(column, left)
+        if counts == (row, column):
+            return
+        row, column = counts
         width, height = sum(row.values()), sum(column.values())
         if width * height > MAX_ITERATE_CELLS:
             raise IterateTooLarge(
@@ -266,6 +269,7 @@ def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     """n-fold application starting from the 1x1 word on the letter.
 
+    Stops early at a fixed point: a word that the morphism maps to itself.
     Raises IterateTooLarge, before building anything, when the word would
     have more than MAX_ITERATE_CELLS cells.
     """
@@ -279,9 +283,12 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     w = Word2d.letter(letter)
     for k in range(n):
         try:
-            w = apply(m, w)
+            image = apply(m, w)
         except DomainError as e:
             raise DomainError(f"assembly failed at iteration step {k + 1}: {e}") from e
+        if image == w:
+            break
+        w = image
     return w
 
 

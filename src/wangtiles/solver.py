@@ -9,7 +9,16 @@ cell first, finishes the job for every mode: existence stops at the first
 solution, counting tallies them, and enumerations are sorted into
 canonical cell-scan order (bottom row first, left to right).
 
-Propagation is table-driven: for each adjacency direction and each 8-bit
+Propagation works by arc (AC-3, Mackworth 1977): a queue holds the cells
+whose mask changed, and popping one revises each of its four neighbors
+against it alone, queueing the neighbors that shrink.  So a change costs at
+most four unions, and a cell that never changes costs nothing.  When every
+tile of the set has a partner on each of its four sides, the all-tiles
+start is already arc-consistent, so the queue starts at the pinned cells
+and a free rectangle needs no propagation at all; otherwise it starts with
+every cell.  Either way the fixpoint is the same.
+
+The unions are table-driven: for each adjacency direction and each 8-bit
 chunk of a candidate mask, a table of up to 256 entries holds the union of
 the neighbor masks of every subset of the tiles in that chunk, so a union
 over any candidate set costs one lookup per chunk.  The tables are built
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Literal, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .core import WangTileSet
 from .morphism import Word2d
@@ -76,6 +85,9 @@ class _Tables:
     """Per-tile-set adjacency bitmasks and surrounding memo, built once per tile set."""
 
     full: int
+    # Every tile has a partner on each of its four sides, so the all-tiles
+    # start is arc-consistent and propagation starts at the pins alone.
+    partnered: bool
     right_succ: tuple[int, ...]   # tiles that may sit east of t
     left_pred: tuple[int, ...]    # tiles that may sit west of t
     top_succ: tuple[int, ...]     # tiles that may sit north of t
@@ -123,6 +135,7 @@ def _tables(T: WangTileSet) -> _Tables:
     bottom_pred = tuple(by_top.get(t.bottom, 0) for t in T)
     return _Tables(
         full=(1 << len(T)) - 1,
+        partnered=all(map(all, (right_succ, left_pred, top_succ, bottom_pred))),
         right_succ=right_succ,
         left_pred=left_pred,
         top_succ=top_succ,
@@ -145,45 +158,70 @@ def _union(chunks: tuple[tuple[int, ...], ...], over: int) -> int:
     return acc
 
 
-def _propagate(masks: list[int], width: int, height: int, tb: _Tables) -> bool:
-    """Arc-consistency sweep to a fixpoint; False when some cell empties."""
-    pending = set(range(width * height))
+def _propagate(
+    masks: list[int], width: int, height: int, tb: _Tables, changed: Iterable[int]
+) -> bool:
+    """Arc consistency to a fixpoint, revising from the cells that changed.
+
+    Popping cell c revises each neighbor n against c alone: masks[n] keeps
+    only the tiles that fit beside some tile of masks[c].  A neighbor that
+    shrinks is queued in turn, so unchanged cells cost nothing.  ``changed``
+    must hold every cell that some neighbor is not yet consistent with.
+    False when some cell empties.
+    """
+    right, left, top, bottom = tb.right_chunks, tb.left_chunks, tb.top_chunks, tb.bottom_chunks
+    pending = set(changed)
+    last_row = width * (height - 1)
     while pending:
-        idx = pending.pop()
-        x, y = idx % width, idx // width
-        m = masks[idx]
-        if x > 0:
-            m &= _union(tb.right_chunks, masks[idx - 1])
+        c = pending.pop()
+        m = masks[c]
+        x = c % width
         if x + 1 < width:
-            m &= _union(tb.left_chunks, masks[idx + 1])
-        if y > 0:
-            m &= _union(tb.top_chunks, masks[idx - width])
-        if y + 1 < height:
-            m &= _union(tb.bottom_chunks, masks[idx + width])
-        if m == masks[idx]:
-            continue
-        if m == 0:
-            return False
-        masks[idx] = m
-        if x > 0:
-            pending.add(idx - 1)
-        if x + 1 < width:
-            pending.add(idx + 1)
-        if y > 0:
-            pending.add(idx - width)
-        if y + 1 < height:
-            pending.add(idx + width)
+            old = masks[c + 1]
+            new = old & _union(right, m)
+            if new != old:
+                if not new:
+                    return False
+                masks[c + 1] = new
+                pending.add(c + 1)
+        if x:
+            old = masks[c - 1]
+            new = old & _union(left, m)
+            if new != old:
+                if not new:
+                    return False
+                masks[c - 1] = new
+                pending.add(c - 1)
+        if c < last_row:
+            old = masks[c + width]
+            new = old & _union(top, m)
+            if new != old:
+                if not new:
+                    return False
+                masks[c + width] = new
+                pending.add(c + width)
+        if c >= width:
+            old = masks[c - width]
+            new = old & _union(bottom, m)
+            if new != old:
+                if not new:
+                    return False
+                masks[c - width] = new
+                pending.add(c - width)
     return True
 
 
 def _initial_masks(
     width: int, height: int, pins: Mapping[tuple[int, int], int], tb: _Tables
-) -> list[int]:
-    """Every tile in every cell, one tile in a pinned cell; _propagate does the rest."""
+) -> tuple[list[int], Iterable[int]]:
+    """Every tile in every cell and one tile in a pinned cell, with the cells
+    _propagate must start from: the pins when the tile set is partnered,
+    else every cell."""
     masks = [tb.full] * (width * height)
-    for (x, y), tile in pins.items():
-        masks[y * width + x] = 1 << tile
-    return masks
+    pinned = [y * width + x for x, y in pins]
+    for idx, tile in zip(pinned, pins.values()):
+        masks[idx] = 1 << tile
+    return masks, pinned if tb.partnered else range(width * height)
 
 
 def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterator[list[int]]:
@@ -288,10 +326,10 @@ def solve_rectangle(
         if not (0 <= tile < len(T)):
             raise ValueError(f"pin tile index {tile} out of range")
     tb = _tables(T)
-    masks = _initial_masks(width, height, pins, tb)
+    masks, changed = _initial_masks(width, height, pins, tb)
     # An empty tile set tiles nothing, but _propagate never empties a cell
     # that starts empty, so that case is answered here.
-    if not tb.full or not _propagate(masks, width, height, tb):
+    if not tb.full or not _propagate(masks, width, height, tb, changed):
         return False if mode == "exists" else ([] if mode == "enumerate" else 0)
     found = _solutions(masks, width, height, tb)
     if mode == "exists":

@@ -149,6 +149,37 @@ def test_rectangle_solve_count(monkeypatch, name, plan, solves):
     assert calls == solves
 
 
+# How those solves end: (satisfiable, refuted by the initial propagation,
+# refuted by search).  Every refutation needs no search; a change that
+# weakens the propagation moves solves from the second count to the third.
+@pytest.mark.parametrize(
+    "name, plan, outcomes", [("U", "auto", (76, 135, 0)), ("V", [(1, 1), (2, 2)], (71, 146, 0))]
+)
+def test_rectangle_solve_outcomes(monkeypatch, name, plan, outcomes):
+    satisfiable = propagated = searched = 0
+    real_solve, real_propagate = solver.solve_rectangle, solver._propagate
+
+    def propagate(*args):
+        nonlocal propagated
+        consistent = real_propagate(*args)
+        propagated += not consistent
+        return consistent
+
+    def solve(*args, **kwargs):
+        nonlocal satisfiable, searched
+        before = propagated
+        found = real_solve(*args, **kwargs)
+        satisfiable += bool(found)
+        searched += not found and propagated == before
+        return found
+
+    monkeypatch.setattr(solver, "_propagate", propagate)
+    monkeypatch.setattr(solver, "solve_rectangle", solve)
+    solver._tables.cache_clear()
+    assert certify(builtin(name).payload, name, plan).all_verified()
+    assert (satisfiable, propagated, searched) == outcomes
+
+
 # Every fact a certify run leaves in the surrounding memos, whether solved or
 # harvested from an inflation patch, holds when asked afresh.  A patch also
 # witnesses radii above any the run asks about; a fact is checked at most at

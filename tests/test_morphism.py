@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,45 @@ class TestIterate:
                 assert shape >= prev
                 prev = shape
             assert min(prev) > 6
+
+    def test_stops_at_a_fixed_point(self):
+        # 10**9 steps of a map that fixes every letter would take hours.
+        start = time.perf_counter()
+        assert iterate(identity_morphism(U), 3, 10**9) == Word2d.letter(3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_fixed_point_reached_after_growth(self):
+        # 0 -> 1 2 grows once; 1 and 2 are fixed, so 1 2 is a fixed point.
+        from wangtiles.core import WangTile, WangTileSet
+
+        ts = WangTileSet(WangTile(c, "x", c, "x") for c in "abc")
+        m = Morphism2d(ts, ts, (Word2d(((1,), (2,))), Word2d.letter(1), Word2d.letter(2)))
+        assert iterate(m, 0, 10**9) == Word2d(((1,), (2,)))
+
+
+def apply_by_concat(m, w):
+    """Reference: stack each input column's images, then join the columns."""
+    n1, n2 = w.shape
+    blocks = []
+    for x in range(n1):
+        block = m.images[w.cell(x, 0)]
+        for y in range(1, n2):
+            block = concat(block, m.images[w.cell(x, y)], 2)
+        blocks.append(block)
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = concat(out, block, 1)
+    return out
+
+
+class TestApplyMatchesConcatenation:
+    @pytest.mark.parametrize("a", [0, 4, 16])
+    def test_omega_iterates(self, a):
+        w = Word2d.letter(a)
+        for _ in range(12):  # omega^k(a) for k <= 11
+            image = apply(omega, w)
+            assert image == apply_by_concat(omega, w)
+            w = image
 
 
 class TestIterateSizeGuard:

@@ -18,6 +18,7 @@ from wangtiles.solver import (
     _solutions,
     _tables,
     _union,
+    domino,
     dominoes_with_surrounding,
     harvest,
     is_valid_pattern,
@@ -147,8 +148,8 @@ def violations_per_edge(T, w):
 def some_tiling(T, width, height):
     """The first tiling of the rectangle that the solver's search finds."""
     tb = _tables(T)
-    masks = _initial_masks(width, height, {}, tb)
-    assert _propagate(masks, width, height, tb)
+    masks, changed = _initial_masks(width, height, {}, tb)
+    assert _propagate(masks, width, height, tb, changed)
     cells = next(_solutions(masks, width, height, tb))
     return Word2d.from_columns(
         [[cells[y * width + x].bit_length() - 1 for y in range(height)] for x in range(width)]
@@ -239,6 +240,104 @@ class TestSolveRectangle:
         assert got == expected  # brute force also scans in canonical order
         assert solve_rectangle(ts, width, height, pins, "count") == len(expected)
         assert solve_rectangle(ts, width, height, pins, "exists") == bool(expected)
+
+
+def sweep_propagate(masks, width, height, tb):
+    """Reference arc consistency: every cell pending at the start, and each
+    pop re-derives the cell's mask from the unions of all four neighbors."""
+    pending = set(range(width * height))
+    while pending:
+        idx = pending.pop()
+        x, y = idx % width, idx // width
+        m = masks[idx]
+        if x > 0:
+            m &= _union(tb.right_chunks, masks[idx - 1])
+        if x + 1 < width:
+            m &= _union(tb.left_chunks, masks[idx + 1])
+        if y > 0:
+            m &= _union(tb.top_chunks, masks[idx - width])
+        if y + 1 < height:
+            m &= _union(tb.bottom_chunks, masks[idx + width])
+        if m == masks[idx]:
+            continue
+        if m == 0:
+            return False
+        masks[idx] = m
+        if x > 0:
+            pending.add(idx - 1)
+        if x + 1 < width:
+            pending.add(idx + 1)
+        if y > 0:
+            pending.add(idx - width)
+        if y + 1 < height:
+            pending.add(idx + width)
+    return True
+
+
+def mirror(t):
+    """The tile with each side's color on the opposite side: a partner of t
+    on all four sides, and t of it."""
+    return WangTile(t.left, t.bottom, t.right, t.top)
+
+
+def assert_same_fixpoint(T, width, height, pins):
+    """The solver's start and propagation reach the reference's fixpoint."""
+    tb = _tables(T)
+    masks, changed = _initial_masks(width, height, pins, tb)
+    reference = list(masks)
+    consistent = _propagate(masks, width, height, tb, changed)
+    assert consistent == sweep_propagate(reference, width, height, tb)
+    if consistent:
+        assert masks == reference
+
+
+class TestPropagation:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.builds(WangTile, *[st.sampled_from("abc")] * 4), min_size=1, max_size=6, unique=True
+        ),
+        st.booleans(),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_matches_cell_sweep(self, tiles, mirrored, width, height, data):
+        if mirrored:
+            tiles = tiles + [mirror(t) for t in tiles if mirror(t) not in tiles]
+        T = WangTileSet(tiles)
+        partnered = all(any(fits(u, v) for v in tiles) for u in tiles for _, fits in DIRECTIONS)
+        assert _tables(T).partnered == partnered
+        assert partnered or not mirrored
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        pins = data.draw(st.dictionaries(cells, st.integers(0, len(T) - 1), max_size=4))
+        assert_same_fixpoint(T, width, height, pins)
+
+    def test_free_rectangle_of_a_partnered_set_starts_empty(self):
+        masks, changed = _initial_masks(6, 4, {}, _tables(U))
+        assert list(changed) == [] and masks == [_tables(U).full] * 24
+
+    @pytest.mark.parametrize("name", ["U", "V", "W"])
+    def test_pinned_surroundings(self, name):
+        T = builtin(name).payload
+        assert _tables(T).partnered
+        patterns = [
+            domino(i, j, d)
+            for d in (1, 2)
+            for i, u in enumerate(T)
+            for j, v in enumerate(T)
+            if (u.right == v.left if d == 1 else u.top == v.bottom)
+        ]
+        for radius in (1, 2):
+            for p in patterns + solve_rectangle(T, 2, 2, None, "enumerate"):
+                n1, n2 = p.shape
+                pins = {
+                    (x + n1 * radius, y + n2 * radius): p.cell(x, y)
+                    for x in range(n1)
+                    for y in range(n2)
+                }
+                side = 1 + 2 * radius
+                assert_same_fixpoint(T, n1 * side, n2 * side, pins)
 
 
 class TestSurroundings:
