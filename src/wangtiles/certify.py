@@ -15,15 +15,17 @@ off the radius r+1 dominoes equal those of the derivation at radius r.
 Stability compares only those two tuples, so no second derivation is built.
 
 Stability is decided by that rule, but only once the patch below has been
-harvested.  Each step first takes its first candidate provisionally, and
-that chain yields the equivalence, omega and its primitivity.  One
-inflation patch of omega is grown and harvested into T's memo; each level
-passes through the once-derived set and is harvested into that set's memo
-too, so the patch witnesses the dominoes both stability checks ask about.
-Then the checks run in order.  From the first step whose first candidate
-fails its check, the rule runs unchanged, so the certificate is the rule's;
-a harvested patch is checked valid first, so it records only true facts
-whichever chain grew it.
+harvested.  A provisional chain first takes each step's first candidate, and
+yields the equivalence, omega and its primitivity.  One inflation patch of
+omega is grown and harvested into T's memo; each level passes through the
+once-derived set and is harvested into that set's memo too, so the patch
+witnesses the dominoes both stability checks ask about.  Then the rule runs
+unchanged, so the certificate is the rule's.  Both passes read one memo, kept
+for the run, of the candidates found and the derivations built, keyed by
+source set, markers and radius: the rule derives again nothing the chain
+derived, and where it takes the chain's derivations it keeps the chain's
+omega.  A harvested patch is checked valid first, so it records only true
+facts whichever chain grew it.
 
 The 2x2 step compares the factors of the self-map omega with the patterns
 that admit a radius-r surrounding.  Since omega is primitive, every factor
@@ -104,46 +106,32 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _derivations(T: WangTileSet, spec: Optional[tuple[int, int]]) -> Iterator[Derivation]:
+def _derivations(
+    T: WangTileSet, spec: Optional[tuple[int, int]], memo: dict
+) -> Iterator[Derivation]:
     """The derivation of each marker candidate the plan entry (None: auto) may
-    take, lazily and in the rule's order."""
+    take, lazily and in the rule's order.  The memo keeps each candidate list
+    and each derivation for the rest of the run; a derive() that raised is
+    asked again and raises again."""
     if spec is None:
         tries = [(e, r) for e in AUTO_DIRECTIONS for r in range(1, AUTO_MAX_RADIUS + 1)]
     else:
         tries = [spec]
     for direction, radius in tries:
-        for markers in find_marker_candidates(T, direction, radius):
-            yield derive(T, markers, radius)
+        if (T, direction, radius) not in memo:
+            memo[T, direction, radius] = find_marker_candidates(T, direction, radius)
+        for markers in memo[T, direction, radius]:
+            # keyed by the radius too: one marker set can be a candidate at two
+            if (T, markers, radius) not in memo:
+                memo[T, markers, radius] = derive(T, markers, radius)
+            yield memo[T, markers, radius]
 
 
-class _Step:
-    """One plan entry on one tile set.  ``first`` is the derivation of its first
-    candidate, taken provisionally, and ``error`` the ValueError deriving it
-    raised; decide() applies the rule in the module docstring, deriving
-    further candidates only when the first fails the stability check."""
-
-    def __init__(self, T: WangTileSet, spec: Optional[tuple[int, int]]):
-        self.source, self.spec = T, spec
-        self._rest = _derivations(T, spec)
-        self.first: Optional[Derivation] = None
-        self.error: Optional[ValueError] = None
-        try:
-            self.first = next(self._rest, None)
-        except ValueError as e:  # e.g. colliding derived tiles on degenerate input
-            self.error = e
-
-    def _stable(self, d: Derivation) -> bool:
-        if self.spec is not None:
-            return True
-        return regroup(d.source, d.markers, d.radius + 1) == (d.singles, d.fusions)
-
-    def decide(self) -> Optional[Derivation]:
-        """The step's derivation, or None when no candidate qualifies."""
-        if self.error is not None:
-            raise self.error
-        if self.first is None or self._stable(self.first):
-            return self.first
-        return next((d for d in self._rest if self._stable(d)), None)
+def _stable(d: Derivation, spec: Optional[tuple[int, int]]) -> bool:
+    """Does a planned step take the derivation?  Auto asks for a stable regrouping."""
+    if spec is not None:
+        return True
+    return regroup(d.source, d.markers, d.radius + 1) == (d.singles, d.fusions)
 
 
 class _SelfMap:
@@ -236,48 +224,38 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
 def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate) -> None:
     """Append each step to the certificate, stopping at the first that fails.
 
-    Each step first takes its first candidate provisionally.  When that
-    chain reaches an expansive omega, its inflation patch is grown and
-    harvested before any stability check is asked, so the patch answers
-    them.  Then each step is decided by the rule, in order; from the first
-    step whose first candidate does not qualify on, the chain is derived
-    anew.
+    The provisional chain takes each step's first candidate.  When it reaches
+    an expansive omega, its inflation patch is grown and harvested before any
+    stability check is asked, so the patch answers them.  Then each step is
+    decided by the rule, in order; both passes read one memo of candidates
+    and derivations, so the rule derives only what the chain did not.
     """
-    chain: list[_Step] = []
-    source = T
+    memo: dict = {}
     provisional: Optional[_SelfMap] = None
-    for spec in steps:
-        chain.append(_Step(source, spec))
-        first = chain[-1].first
-        if first is None or first.degenerate:
-            break
-        source = first.derived
-    else:
-        try:
-            provisional = _SelfMap(T, [c.first for c in chain])
+    chain: list[Derivation] = []
+    try:
+        for spec in steps:
+            d = next(_derivations(chain[-1].derived if chain else T, spec, memo), None)
+            if d is None or d.degenerate:
+                break
+            chain.append(d)
+        else:
+            provisional = _SelfMap(T, chain)
             if provisional.expansive:
                 _witness(T, provisional, 1, between=None in steps)
-        except ValueError:  # a morphism that does not assemble: decide without the patch
-            provisional = None
+    except ValueError:  # the rule meets the same error, or a morphism that does not assemble
+        provisional = None
 
     derivations: list[Derivation] = []
-    current = T
     for k, spec in enumerate(steps, start=1):
-        if k <= len(chain) and chain[k - 1].source is current:
-            step = chain[k - 1]
-        else:
-            step = _Step(current, spec)
+        current = derivations[-1].derived if derivations else T
+        evidence: dict = {"plan": "auto" if spec is None else list(spec)}
         try:
-            d = step.decide()
+            d = next((d for d in _derivations(current, spec, memo) if _stable(d, spec)), None)
         except ValueError as e:  # e.g. colliding derived tiles on degenerate input
             d = None
-            error: Optional[str] = str(e)
-        else:
-            error = None
+            evidence["error"] = str(e)
         if d is None:
-            evidence: dict = {"plan": "auto" if spec is None else list(spec)}
-            if error:
-                evidence["error"] = error
             cert.steps.append(
                 Step(
                     claim=f"derivation step {k}: a verified marker set exists",
@@ -286,16 +264,15 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
                 )
             )
             return
-        markers = d.markers
         # derive() refuses a morphism that fails the letter-level criterion,
         # so a derivation that got here satisfies it.
         cert.steps.append(
             Step(
                 claim=f"derivation step {k}: markers verified and morphism recognizable",
                 evidence={
-                    "direction": markers.direction,
+                    "direction": d.markers.direction,
                     "radius": d.radius,
-                    "markers": sorted(markers.tile_indices),
+                    "markers": sorted(d.markers.tile_indices),
                     "derivedSize": len(d.derived),
                     "singles": list(d.singles),
                     "fusions": [list(p) for p in d.fusions],
@@ -307,10 +284,9 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
         if d.degenerate:
             return
         derivations.append(d)
-        current = d.derived
 
     sm = provisional
-    if sm is None or any(a is not b for a, b in zip(sm.derivations, derivations)):
+    if sm is None or sm.derivations != derivations:
         sm = _SelfMap(T, derivations)
     eq = sm.eq
     cert.steps.append(

@@ -255,7 +255,7 @@ def derive(T: WangTileSet, markers: MarkerSet, radius: int) -> Derivation:
         # would not be injective, so no recognizable morphism comes out.
         raise ValueError(f"derived tiles collide: {e}") from e
     morphism = Morphism2d(derived, T, tuple(images))
-    if tiles and not check_recognizability_criterion(morphism, set(M), direction, "right"):
+    if tiles and not check_recognizability_criterion(morphism, set(M), direction):
         raise DerivationError("derivation produced a non-recognizable morphism")
     return Derivation(
         source=T,

@@ -239,21 +239,28 @@ def _check_iterate_size(m: Morphism2d, letter: int, n: int) -> None:
     of the images of w's left-column letters stacked.  So the letter counts
     of each evolve by a fixed matrix read off the images, and the width and
     height are their sums.  Neither shrinks, so the first level over the
-    limit decides; once the counts repeat, they never change again.
+    limit decides; once the counts repeat at one shape, they cycle through
+    that shape for good.
     """
     bottom = [[col[0] for col in im.columns] for im in m.images]
     left = [im.columns[0] for im in m.images]
     row: dict[int, int] = {letter: 1}
     column: dict[int, int] = {letter: 1}
+    shape = (1, 1)
+    seen: set = set()  # the counts met since the shape last grew
     for k in range(1, n + 1):
-        counts = _image_counts(row, bottom), _image_counts(column, left)
-        if counts == (row, column):
-            return
-        row, column = counts
-        width, height = sum(row.values()), sum(column.values())
-        if width * height > MAX_ITERATE_CELLS:
+        row, column = _image_counts(row, bottom), _image_counts(column, left)
+        grown = (sum(row.values()), sum(column.values()))
+        if grown == shape:
+            counts = (frozenset(row.items()), frozenset(column.items()))
+            if counts in seen:
+                return
+            seen.add(counts)
+            continue
+        shape, seen = grown, set()
+        if grown[0] * grown[1] > MAX_ITERATE_CELLS:
             raise IterateTooLarge(
-                f"iteration step {k} would build a {width}x{height} word, over the"
+                f"iteration step {k} would build a {grown[0]}x{grown[1]} word, over the"
                 f" limit of {MAX_ITERATE_CELLS} cells"
             )
 
@@ -269,7 +276,8 @@ def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     """n-fold application starting from the 1x1 word on the letter.
 
-    Stops early at a fixed point: a word that the morphism maps to itself.
+    Once a word repeats without the shape growing in between, the words
+    cycle, so whole periods are skipped; a fixed point is a period of one.
     Raises IterateTooLarge, before building anything, when the word would
     have more than MAX_ITERATE_CELLS cells.
     """
@@ -281,13 +289,20 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     _check_iterate_size(m, letter, n)
     w = Word2d.letter(letter)
-    for k in range(n):
+    seen: dict[Word2d, int] = {}  # the words since the shape last grew -> their order
+    for k in range(1, n + 1):
         try:
             image = apply(m, w)
         except DomainError as e:
-            raise DomainError(f"assembly failed at iteration step {k + 1}: {e}") from e
-        if image == w:
-            break
+            raise DomainError(f"assembly failed at iteration step {k}: {e}") from e
+        if image.shape != w.shape:
+            seen = {}
+        else:
+            seen.setdefault(w, len(seen))
+            if image in seen:  # image is step k, equal to the word seen[image]
+                cycle = list(seen)[seen[image] :]
+                return cycle[(n - k) % len(cycle)]
+            seen[image] = len(seen)
         w = image
     return w
 
@@ -307,17 +322,13 @@ def check_prolongable(m: Morphism2d, letter: int, sign: tuple[int, int]) -> bool
     return w.cell(x, y) == letter
 
 
-def check_recognizability_criterion(
-    m: Morphism2d, markers: set[int], direction: int, side: str
-) -> bool:
+def check_recognizability_criterion(m: Morphism2d, markers: set[int], direction: int) -> bool:
     """Letter-level sufficient condition for recognizability.
 
     True iff the restriction of m to letters is injective and every image is
     either a single non-marker letter, or a domino along the given axis whose
-    far part (side="right") or near part (side="left") is the unique marker.
+    far part is the unique marker.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     if len(set(m.images)) != len(m.images):
@@ -330,12 +341,8 @@ def check_recognizability_criterion(
         elif (n1, n2) == ((2, 1) if direction == 1 else (1, 2)):
             first = im.cell(0, 0)
             second = im.cell(1, 0) if direction == 1 else im.cell(0, 1)
-            if side == "right":
-                if first in markers or second not in markers:
-                    return False
-            else:
-                if first not in markers or second in markers:
-                    return False
+            if first in markers or second not in markers:
+                return False
         else:
             return False
     return True

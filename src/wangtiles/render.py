@@ -309,9 +309,6 @@ class StoneGeometry:
     widths: tuple[GoldenNumber, ...]
     heights: tuple[GoldenNumber, ...]
 
-    def rectangle(self, i: int) -> tuple[GoldenNumber, GoldenNumber]:
-        return (self.widths[i], self.heights[i])
-
     def area(self, i: int) -> GoldenNumber:
         return self.widths[i] * self.heights[i]
 

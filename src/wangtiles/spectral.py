@@ -73,10 +73,6 @@ class IntPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 

@@ -261,3 +261,28 @@ def test_provisional_chain_fallback(monkeypatch):
     del doc["timestamps"]
     assert doc == recorded["certificate"]
     assert calls == recorded["deriveCalls"] + 1
+
+
+# The memo of candidates and derivations lives for one certify run: a second
+# run on the same set, with the surrounding memos still warm, finds and
+# derives again exactly as the first did.
+@pytest.mark.parametrize(
+    "name, plan, derives, finds", [("U", "auto", 2, 6), ("V", [(1, 1), (2, 2)], 2, 2)]
+)
+def test_candidate_memo_lasts_one_run(monkeypatch, name, plan, derives, finds):
+    module = importlib.import_module("wangtiles.certify")
+    calls = {"derive": 0, "find_marker_candidates": 0}
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for fn in calls:
+        monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
+    for _ in range(2):
+        calls.update(derive=0, find_marker_candidates=0)
+        assert certify(builtin(name).payload, name, plan).all_verified()
+        assert calls == {"derive": derives, "find_marker_candidates": finds}

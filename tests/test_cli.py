@@ -161,6 +161,17 @@ class TestIterateAndRender:
         assert out == ""
         assert "iteration count" in err
 
+    def test_iterate_a_cycling_table(self, capsys, tmp_path):
+        # U's letters 0 and 1 swap and every other letter is fixed: the words
+        # cycle without a fixed point, so a billion steps skip whole periods.
+        table = tmp_path / "swap.json"
+        table.write_text(json.dumps({str(a): [[{0: 1, 1: 0}.get(a, a)]] for a in range(19)}))
+        code, out, _ = run(
+            capsys, "iterate", str(table), "0", str(10**9 + 1), "--domain", "U", "--codomain", "U"
+        )
+        assert code == 0
+        assert json.loads(out) == [[1]]
+
     def test_malformed_morphism_table_is_a_usage_error(self, capsys, tmp_path):
         table = tmp_path / "m.json"
         for doc in ({"0": 5}, {"0": [5]}, {"0": [["a"]]}, [[0]]):

@@ -148,7 +148,7 @@ class TestDeriveUToV:
 
     def test_recognizable_by_construction(self):
         d = derive(U, MarkerSet(U_MARKERS, 2), 2)
-        assert check_recognizability_criterion(d.morphism, set(U_MARKERS), 2, "right")
+        assert check_recognizability_criterion(d.morphism, set(U_MARKERS), 2)
 
     def test_radius_idempotent(self):
         d2 = derive(U, MarkerSet(U_MARKERS, 2), 2)
@@ -188,7 +188,7 @@ class TestDeriveVToW:
 
     def test_recognizable_by_construction(self):
         d = derive(V, MarkerSet(V_MARKERS, 1), 1)
-        assert check_recognizability_criterion(d.morphism, set(V_MARKERS), 1, "right")
+        assert check_recognizability_criterion(d.morphism, set(V_MARKERS), 1)
 
     def test_color_transport(self):
         d = derive(V, MarkerSet(V_MARKERS, 1), 1)

@@ -126,10 +126,10 @@ class TestStone:
     def test_tile_rectangle_classes(self):
         phi_inv = GoldenNumber(-1, 1)
         one = GoldenNumber(1, 0)
-        assert GEO.rectangle(0) == (phi_inv, phi_inv)
-        assert GEO.rectangle(2) == (one, phi_inv)
-        assert GEO.rectangle(8) == (phi_inv, one)
-        assert GEO.rectangle(12) == (one, one)
+        assert (GEO.widths[0], GEO.heights[0]) == (phi_inv, phi_inv)
+        assert (GEO.widths[2], GEO.heights[2]) == (one, phi_inv)
+        assert (GEO.widths[8], GEO.heights[8]) == (phi_inv, one)
+        assert (GEO.widths[12], GEO.heights[12]) == (one, one)
 
     def test_area_conservation_exact(self):
         phi2 = GoldenNumber(1, 1)

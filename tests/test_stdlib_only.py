@@ -57,8 +57,12 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _dunder(name)
 
 
 def _root(node: ast.AST) -> str:
@@ -92,3 +96,43 @@ def test_no_module_reads_another_modules_private_names():
             if isinstance(node, ast.Attribute) and _private(node.attr) and _root(node.value) in bound
         ]
     assert reached == []
+
+
+def _definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Every function, class and method the module defines, and its module
+    constants, as (line, name); dunder names are exempt."""
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found if not _dunder(name)]
+
+
+def test_every_definition_is_referenced():
+    """Code nothing in the package reads is dead: a name counts as read where it
+    is loaded, as a name or an attribute, or imported into __init__."""
+    read = set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [
+        f"{name}:{line}: {defined}"
+        for name, tree in _modules()
+        for line, defined in _definitions(tree)
+        if defined not in read
+    ]
+    assert unread == []
