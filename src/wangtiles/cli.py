@@ -361,8 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:  # UsageError and JSONDecodeError included
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # UsageError and JSONDecodeError included
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

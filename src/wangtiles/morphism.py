@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import WangTileSet
 from .spectral import GoldenRational, IntMatrix, exact_perron_frequencies
@@ -220,10 +220,10 @@ def frequencies(m: Morphism2d) -> tuple[list[GoldenRational], list[float]]:
     return exact, [float(f) for f in exact]
 
 
-# iterate() refuses a word of more cells than this before building any of it.
-# 2**22 cells hold about 32 MB of cell references.  Every letter of omega
-# passes at level 15 (at most 1597x1597 cells); from level 17 every letter
-# is refused.
+# iterate() and factors_2x2() refuse a word of more cells than this before
+# building any of it.  2**22 cells hold about 32 MB of cell references.  Every
+# letter of omega passes at level 15 (at most 1597x1597 cells); from level 17
+# every letter is refused.
 MAX_ITERATE_CELLS = 1 << 22
 
 
@@ -231,38 +231,30 @@ class IterateTooLarge(ValueError):
     """An iterate whose word would have more than MAX_ITERATE_CELLS cells."""
 
 
-def _check_iterate_size(m: Morphism2d, letter: int, n: int) -> None:
-    """Refuse, before building anything, an n-fold image over the cell limit.
+def _shapes(m: Morphism2d, letter: int) -> Iterator[tuple[int, int]]:
+    """The shape of m^k(letter) for k = 1, 2, ..., predicted without building it.
 
     The bottom row of apply(m, w) is the bottom rows of the images of w's
     bottom-row letters side by side, and its left column is the left columns
     of the images of w's left-column letters stacked.  So the letter counts
-    of each evolve by a fixed matrix read off the images, and the width and
-    height are their sums.  Neither shrinks, so the first level over the
-    limit decides; once the counts repeat at one shape, they cycle through
-    that shape for good.
+    of each evolve by a fixed matrix, and the width and height, their sums,
+    never shrink.  A step that keeps the width sends each bottom-row letter
+    to the bottom of its 1-wide image, and a map on N letters brings each
+    letter into its cycle within N steps; likewise for the height.  So a
+    shape kept for N + 1 steps in a row is kept for good, and the generator
+    stops there.
     """
     bottom = [[col[0] for col in im.columns] for im in m.images]
     left = [im.columns[0] for im in m.images]
     row: dict[int, int] = {letter: 1}
     column: dict[int, int] = {letter: 1}
-    shape = (1, 1)
-    seen: set = set()  # the counts met since the shape last grew
-    for k in range(1, n + 1):
+    shape, kept = (1, 1), 0
+    while kept <= len(m.domain):
         row, column = _image_counts(row, bottom), _image_counts(column, left)
         grown = (sum(row.values()), sum(column.values()))
-        if grown == shape:
-            counts = (frozenset(row.items()), frozenset(column.items()))
-            if counts in seen:
-                return
-            seen.add(counts)
-            continue
-        shape, seen = grown, set()
-        if grown[0] * grown[1] > MAX_ITERATE_CELLS:
-            raise IterateTooLarge(
-                f"iteration step {k} would build a {grown[0]}x{grown[1]} word, over the"
-                f" limit of {MAX_ITERATE_CELLS} cells"
-            )
+        kept = kept + 1 if grown == shape else 0
+        shape = grown
+        yield shape
 
 
 def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
@@ -273,13 +265,35 @@ def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
     return out
 
 
+def _refuse_over_limit(k: int, shape: tuple[int, int]) -> None:
+    if shape[0] * shape[1] > MAX_ITERATE_CELLS:
+        raise IterateTooLarge(
+            f"iteration step {k} would build a {shape[0]}x{shape[1]} word, over the"
+            f" limit of {MAX_ITERATE_CELLS} cells"
+        )
+
+
+def _renaming(m: Morphism2d, j: int) -> list[int]:
+    """sigma^j, sigma sending a letter to its 1x1 image; -1 where that is undefined."""
+    sigma = [im.columns[0][0] if im.shape == (1, 1) else -1 for im in m.images]
+    power = list(range(len(sigma)))
+    while j:
+        if j & 1:
+            power = [-1 if b < 0 else sigma[b] for b in power]
+        sigma = [-1 if b < 0 else sigma[b] for b in sigma]
+        j >>= 1
+    return power
+
+
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     """n-fold application starting from the 1x1 word on the letter.
 
-    Once a word repeats without the shape growing in between, the words
-    cycle, so whole periods are skipped; a fixed point is a period of one.
     Raises IterateTooLarge, before building anything, when the word would
-    have more than MAX_ITERATE_CELLS cells.
+    have more than MAX_ITERATE_CELLS cells.  Once the shape has been kept
+    for N + 1 steps in a row (N letters), it is kept for good, and each step
+    renames every cell by its letter's 1x1 image: the remaining steps are
+    one renaming.  Where that meets a letter whose image is not 1x1, the
+    steps go on one by one, and apply raises DomainError within N of them.
     """
     if m.domain != m.codomain:
         raise ValueError("iteration requires domain == codomain")
@@ -287,22 +301,21 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
         raise ValueError(f"letter {letter} outside the domain 0..{len(m.domain) - 1}")
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    _check_iterate_size(m, letter, n)
+    for k, shape in zip(range(1, n + 1), _shapes(m, letter)):
+        _refuse_over_limit(k, shape)
     w = Word2d.letter(letter)
-    seen: dict[Word2d, int] = {}  # the words since the shape last grew -> their order
+    kept = 0  # steps in a row that kept the shape
     for k in range(1, n + 1):
+        if kept == len(m.domain) + 1:
+            table = _renaming(m, n - k + 1)
+            columns = tuple(tuple(table[a] for a in col) for col in w.columns)
+            if all(a >= 0 for col in columns for a in col):
+                return Word2d(columns)
         try:
             image = apply(m, w)
         except DomainError as e:
             raise DomainError(f"assembly failed at iteration step {k}: {e}") from e
-        if image.shape != w.shape:
-            seen = {}
-        else:
-            seen.setdefault(w, len(seen))
-            if image in seen:  # image is step k, equal to the word seen[image]
-                cycle = list(seen)[seen[image] :]
-                return cycle[(n - k) % len(cycle)]
-            seen[image] = len(seen)
+        kept = kept + 1 if image.shape == w.shape else 0
         w = image
     return w
 
@@ -348,49 +361,33 @@ def check_recognizability_criterion(m: Morphism2d, markers: set[int], direction:
     return True
 
 
-# Guards the factor closure against non-termination; it cannot trigger for an
-# expansive primitive morphism on a finite alphabet.
-CLOSURE_CAP = 10000
-
-
 def factors_2x2(m: Morphism2d) -> set[Word2d]:
     """All 2x2 words in the language generated by iterating the morphism.
 
-    Phase 1 iterates images of letters until either every image reaches both
-    dimensions >= 2 or the images stop changing.  Phase 2 closes the
-    collected 2x2 factor set under "apply then take 2x2 factors", which is a
-    fixed point for expansive morphisms.  Both phases stop with RuntimeError
-    after CLOSURE_CAP iterations.
+    Phase 1 finds each letter's seed, its first iterate with both sides at
+    least 2.  A side still 1 after N steps (N letters) stays 1 for good, so
+    the shapes are looked at for at most N steps, and a seed over
+    MAX_ITERATE_CELLS is refused with IterateTooLarge before it is built.
+    Phase 2 closes the seeds' 2x2 factors under "apply, then take the 2x2
+    factors".  Every 2x2 window of m(w) lies in m(f) for some 2x2 factor f
+    of w, so this gives the factors of every later iterate too, and it ends
+    because there are finitely many 2x2 words.
     """
     if m.domain != m.codomain:
         raise ValueError("factor closure requires domain == codomain")
-    n = len(m.domain)
-    words = [Word2d.letter(a) for a in range(n)]
     collected: set[Word2d] = set()
-
-    if all(im.shape[1] == 1 for im in m.images) or all(im.shape[0] == 1 for im in m.images):
-        return collected  # growth confined to one axis: no 2x2 word ever occurs
-
-    # Iterate until every letter's word either covers a 2x2 block or has
-    # individually stopped changing (a fixed word never grows new factors).
-    for _ in range(CLOSURE_CAP):
-        new_words = [apply(m, w) for w in words]
-        for w in new_words:
-            if min(w.shape) >= 2:
+    for a in range(len(m.domain)):
+        for k, shape in zip(range(1, len(m.domain) + 1), _shapes(m, a)):
+            if min(shape) >= 2:
+                _refuse_over_limit(k, shape)
+                w = Word2d.letter(a)
+                for _ in range(k):
+                    w = apply(m, w)
                 collected |= subwords(w, (2, 2))
-        if all(min(w.shape) >= 2 or w == old for w, old in zip(new_words, words)):
-            words = new_words
-            break
-        words = new_words
-    else:
-        raise RuntimeError(f"factor closure did not stabilize within {CLOSURE_CAP} iterations")
+                break
 
     frontier = set(collected)
-    rounds = 0
     while frontier:
-        rounds += 1
-        if rounds > CLOSURE_CAP:
-            raise RuntimeError(f"factor closure did not stabilize within {CLOSURE_CAP} rounds")
         fresh: set[Word2d] = set()
         for f in frontier:
             fresh |= subwords(apply(m, f), (2, 2))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wangtiles import derivation
+from wangtiles import cli, derivation
 from wangtiles.cli import main
 from wangtiles.core import parse_tileset
 from wangtiles.corpus import builtin
@@ -58,6 +58,18 @@ class TestPatterns:
         assert code == 2
         assert out == ""
         assert "radius" in err
+
+    def test_out_of_memory_is_an_input_error(self, capsys, monkeypatch):
+        # A shape too large for memory (30000x30000 under a 1.5 GB address
+        # space) exhausts it inside the solver; that must exit 2, not crash.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "patterns_with_surrounding", exhausted)
+        code, out, err = run(capsys, "patterns", "U", "--shape", "30000x30000", "--radius", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: MemoryError\n"
 
 
 class TestMarkers:

@@ -4,8 +4,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wangtiles import morphism
+from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import (
     CompositionError,
@@ -27,6 +30,11 @@ from wangtiles.solver import is_valid_pattern
 from wangtiles.spectral import IntMatrix, is_primitive
 
 from helpers import identity_matrix, identity_morphism
+from morphism_reference import (
+    TooManyCells,
+    reference_factors_2x2,
+    reference_iterate,
+)
 
 U = builtin("U").payload
 W = builtin("W").payload
@@ -34,6 +42,29 @@ alpha = builtin("alpha").payload
 beta = builtin("beta").payload
 gamma = builtin("gamma").payload
 omega = builtin("omega").payload
+
+
+def letters(n: int) -> WangTileSet:
+    """n distinct tiles, so any table of images over them is a morphism."""
+    return WangTileSet(WangTile(str(i), "x", str(i), "x") for i in range(n))
+
+
+def prime_cycles(lengths: list[int]) -> tuple[Morphism2d, list[int]]:
+    """Letter 0 -> a row of one letter from each cycle; the others rotate.
+
+    The cycles have the given lengths; their letters' images are single
+    letters, so the row never grows again and its words have the least
+    common multiple of the lengths as their period.  Also returns the
+    letter each cycle starts at.
+    """
+    images, starts = [Word2d.letter(0)], []
+    for length in lengths:
+        start = len(images)
+        starts.append(start)
+        images += [Word2d.letter(start + (i + 1) % length) for i in range(length)]
+    images[0] = Word2d(tuple((start,) for start in starts))
+    ts = letters(len(images))
+    return Morphism2d(ts, ts, tuple(images)), starts
 
 
 class TestWord2d:
@@ -244,6 +275,29 @@ class TestIterate:
                 w = apply(m, w)
 
 
+class TestIterationBound:
+    # 42 letters; the words of letter 0 have period 2*3*5*7*11*13 = 30030.
+    LENGTHS = [2, 3, 5, 7, 11, 13]
+
+    def test_long_period_finishes_at_once(self):
+        m, starts = prime_cycles(self.LENGTHS)
+        n = 10**9
+        start = time.perf_counter()
+        w = iterate(m, 0, n)
+        assert time.perf_counter() - start < 1.0
+        orbit = tuple((s + (n - 1) % length,) for s, length in zip(starts, self.LENGTHS))
+        assert w == Word2d(orbit)
+
+    def test_matches_step_by_step(self):
+        m, _ = prime_cycles(self.LENGTHS)
+        n_letters = len(m.domain)
+        for a in (0, 1, n_letters - 1):
+            w = Word2d.letter(a)
+            for n in range(3 * n_letters + 1):
+                assert iterate(m, a, n) == w, (a, n)
+                w = apply(m, w)
+
+
 def apply_by_concat(m, w):
     """Reference: stack each input column's images, then join the columns."""
     n1, n2 = w.shape
@@ -314,6 +368,37 @@ class TestFactors:
         quad = Word2d(((1, 1), (1, 1)))
         m = Morphism2d(ts, ts, (Word2d.letter(0), quad))
         assert factors_2x2(m) == {quad}
+
+    def test_letters_that_never_stop_changing(self, monkeypatch):
+        # 0 -> a 2x2 block of 0s, and 1 and 2 swap: the words of 1 and 2
+        # change forever, so nothing may wait for them to settle.  Applying
+        # to any word over 16 cells fails the test instead of hanging it.
+        real = morphism.apply
+
+        def small_only(m, w):
+            assert w.shape[0] * w.shape[1] <= 16, f"applied to a {w.shape} word"
+            return real(m, w)
+
+        monkeypatch.setattr(morphism, "apply", small_only)
+        ts = letters(3)
+        quad = Word2d(((0, 0), (0, 0)))
+        m = Morphism2d(ts, ts, (quad, Word2d.letter(2), Word2d.letter(1)))
+        assert factors_2x2(m) == {quad}
+
+    def test_seed_over_the_cell_limit_is_refused_before_it_is_built(self, monkeypatch):
+        applied = 0
+        real = morphism.apply
+
+        def counted(*args):
+            nonlocal applied
+            applied += 1
+            return real(*args)
+
+        monkeypatch.setattr(morphism, "apply", counted)
+        monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", 3)
+        with pytest.raises(morphism.IterateTooLarge, match="would build a"):
+            factors_2x2(omega)
+        assert applied == 0
 
     def test_omega_has_50(self):
         F = factors_2x2(omega)
@@ -400,3 +485,58 @@ class TestMorphismLaw:
             assert apply(omega, concat(lower, upper, 2)) == concat(
                 apply(omega, lower), apply(omega, upper), 2
             )
+
+
+@st.composite
+def small_morphisms(draw) -> Morphism2d:
+    """Self-morphisms on at most 5 letters with images of at most 2x2."""
+    n = draw(st.integers(1, 5))
+    images = []
+    for _ in range(n):
+        width, height = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        cells = st.lists(st.integers(0, n - 1), min_size=height, max_size=height)
+        images.append(Word2d.from_columns(draw(st.lists(cells, min_size=width, max_size=width))))
+    ts = letters(n)
+    return Morphism2d(ts, ts, tuple(images))
+
+
+def outcome(f, *args):
+    """The result of a call, or the type of the DomainError it raised."""
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+class TestAgainstReference:
+    @settings(deadline=None, max_examples=150)
+    @given(small_morphisms())
+    def test_iterate_matches_stepping(self, m):
+        n_letters = len(m.domain)
+        for a in range(n_letters):
+            w = Word2d.letter(a)
+            for n in range(3 * n_letters + 4):
+                assert outcome(iterate, m, a, n) == w, (a, n)
+                if w is DomainError or w.shape[0] * w.shape[1] > 64:
+                    break  # past a DomainError, a large shape is refused first
+                w = outcome(apply, m, w)
+
+    @settings(deadline=None, max_examples=150)
+    @given(small_morphisms())
+    def test_iterate_matches_reference_far_out(self, m):
+        n_letters = len(m.domain)
+        for a in range(n_letters):
+            shapes = list(zip(range(64), morphism._shapes(m, a)))
+            if len(shapes) == 64 or shapes[-1][1][0] * shapes[-1][1][1] > 4096:
+                continue  # the shape keeps growing: the reference would too
+            for n in (10**6, 10**6 + 1):
+                assert outcome(iterate, m, a, n) == outcome(reference_iterate, m, a, n)
+
+    @settings(deadline=None, max_examples=150)
+    @given(small_morphisms())
+    def test_factors_match_reference(self, m):
+        try:
+            expected = reference_factors_2x2(m, 4096)
+        except (TooManyCells, RuntimeError, DomainError):
+            return  # the reference gives no answer to compare with
+        assert factors_2x2(m) == expected
