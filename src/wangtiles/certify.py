@@ -19,21 +19,29 @@ harvested.  A provisional chain first takes each step's first candidate, and
 yields the equivalence, omega and its primitivity.  One inflation patch of
 omega is grown and harvested into T's memo; each level passes through the
 once-derived set and is harvested into that set's memo too, so the patch
-witnesses the dominoes both stability checks ask about.  Then the rule runs
-unchanged, so the certificate is the rule's.  Both passes read one memo, kept
-for the run, of the candidates found and the derivations built, keyed by
-source set, markers and radius: the rule derives again nothing the chain
-derived, and where it takes the chain's derivations it keeps the chain's
-omega.  A harvested patch is checked valid first, so it records only true
-facts whichever chain grew it.
+witnesses the dominoes both stability checks ask about.  When step 1 is
+auto, the patch grows until it witnesses omega's dominoes along step 1's
+axis at step 1's radius + 1, the radius its stability check asks; by unique
+composition every domino of the language occurs in some omega^k(a), and it
+lies in one of omega's 2x2 factors, so the dominoes are read off those.  A
+fixed plan asks no stability check, and its patch grows for the 2x2 factors
+at radius 1.  Then the rule runs unchanged, so the certificate is the
+rule's.  Both passes read one memo, kept for the run, of the candidates
+found and the derivations built, keyed by source set, markers and radius:
+the rule derives again nothing the chain derived, and where it takes the
+chain's derivations it keeps the chain's omega.  A harvested patch is
+checked valid first, so it records only true facts whichever chain grew it.
 
 The 2x2 step compares the factors of the self-map omega with the patterns
 that admit a radius-r surrounding.  Since omega is primitive, every factor
 occurs in omega^k(a) once k is large, so before each radius the inflation
 patch of omega is grown further and harvested: a valid patch witnesses the
-surroundings of the factors inside it, with no pinned search each.  The
-patch grows until every factor is witnessed at r, or until it has more cells
-than the pinned rectangles it would replace.
+surroundings of the factors inside it, with no pinned search each.
+
+One stop rule grows the patch for every caller: until every pattern asked
+about is witnessed at the radius asked, or until the patch has more cells
+than the pinned rectangles it would replace, n1*n2*(1+2r)^2 cells for each
+n1 x n2 pattern still missing.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .morphism import (
     compose,
     factors_2x2,
     incidence_matrix,
+    subwords,
 )
 from .solver import harvest, known_to_survive, patterns_with_surrounding
 from .spectral import is_primitive
@@ -166,10 +175,20 @@ class _SelfMap:
         return factors_2x2(self.omega)
 
 
-def _witness(T: WangTileSet, sm: _SelfMap, radius: int, between: bool = False) -> None:
+def _witness(
+    T: WangTileSet, sm: _SelfMap, patterns: set[Word2d], radius: int, between: bool = False
+) -> None:
     """Grow the inflation patch by omega, harvesting each level, until every
-    factor is known to survive at the radius or the patch has more cells than
-    the pinned rectangles of the factors still unwitnessed.
+    pattern is known to survive at the radius, or the patch has more cells
+    than the pinned rectangles of the patterns still unwitnessed.  An n1 x n2
+    pattern's pinned rectangle at radius r has n1*n2*(1+2r)^2 cells.
+
+    The callers pass the patterns whose surroundings the rule asks next, at
+    the radius it asks them: the 2x2 factors at the 2x2 step's radius, and
+    before the auto plan's stability checks, omega's dominoes along step 1's
+    axis at step 1's radius + 1, the radius regroup asks.  Those dominoes
+    are read off the 2x2 factors: each holds two dominoes along each axis,
+    and every domino of the language lies in some 2x2 factor.
 
     With ``between``, each level P' = outer(Q) passes through Q = inner(P), a
     patch over the once-derived set, harvested into that set's memo for the
@@ -177,11 +196,14 @@ def _witness(T: WangTileSet, sm: _SelfMap, radius: int, between: bool = False) -
     2x2 factor, so omega applies to the patch; omega is primitive, so the
     patch grows and the loop ends."""
     outer = sm.derivations[0].morphism
-    side = 2 + 4 * radius  # a pinned 2x2 surrounding is side x side
+    scale = (1 + 2 * radius) ** 2
     while True:
-        missing = sum(1 for f in sm.factors if not known_to_survive(T, f, radius))
+        pinned = sum(
+            n1 * n2 * scale
+            for n1, n2 in (p.shape for p in patterns if not known_to_survive(T, p, radius))
+        )
         width, height = sm.patch.shape
-        if not missing or width * height > missing * side * side:
+        if not pinned or width * height > pinned:
             return
         if between:
             q = apply(sm.inner, sm.patch)
@@ -242,7 +264,13 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
         else:
             provisional = _SelfMap(T, chain)
             if provisional.expansive:
-                _witness(T, provisional, 1, between=None in steps)
+                patterns, radius = provisional.factors, 1
+                if steps[0] is None:  # regroup asks about step 1's dominoes at r+1
+                    d1 = chain[0]
+                    shape = (2, 1) if d1.markers.direction == 1 else (1, 2)
+                    patterns = {d for f in patterns for d in subwords(f, shape)}
+                    radius = d1.radius + 1
+                _witness(T, provisional, patterns, radius, between=None in steps)
     except ValueError:  # the rule meets the same error, or a morphism that does not assemble
         provisional = None
 
@@ -331,7 +359,7 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     minimal = False
     evidence: dict = {"factorCount": len(factors)}
     for r in range(1, AUTO_MAX_RADIUS + 1):
-        _witness(T, sm, r)
+        _witness(T, sm, factors, r)
         admitted = set(patterns_with_surrounding(T, (2, 2), r))
         evidence["admittedCount"] = len(admitted)
         evidence["radius"] = r

@@ -221,14 +221,20 @@ def frequencies(m: Morphism2d) -> tuple[list[GoldenRational], list[float]]:
 
 
 # iterate() and factors_2x2() refuse a word of more cells than this before
-# building any of it.  2**22 cells hold about 32 MB of cell references.  Every
-# letter of omega passes at level 15 (at most 1597x1597 cells); from level 17
-# every letter is refused.
+# building any of it.  2**22 cells hold about 32 MB of cell references.
 MAX_ITERATE_CELLS = 1 << 22
+# iterate() also refuses, before building anything, once the cells of the
+# steps it builds one by one sum past this.  A word that grows by one cell a
+# step stays under the cell limit for millions of steps, but its work grows
+# with their square.  Every letter of omega passes at level 15 (words of at
+# most 1597x1597 cells, at most 4,126,646 cells built); at level 16 only
+# letters 0 and 1 pass, and from level 17 none.
+MAX_ITERATE_WORK = 1 << 22
 
 
 class IterateTooLarge(ValueError):
-    """An iterate whose word would have more than MAX_ITERATE_CELLS cells."""
+    """An iterate whose word would have more than MAX_ITERATE_CELLS cells, or
+    whose steps would build more than MAX_ITERATE_WORK cells in all."""
 
 
 def _shapes(m: Morphism2d, letter: int) -> Iterator[tuple[int, int]]:
@@ -289,7 +295,8 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     """n-fold application starting from the 1x1 word on the letter.
 
     Raises IterateTooLarge, before building anything, when the word would
-    have more than MAX_ITERATE_CELLS cells.  Once the shape has been kept
+    have more than MAX_ITERATE_CELLS cells, or the steps built one by one
+    more than MAX_ITERATE_WORK cells in all.  Once the shape has been kept
     for N + 1 steps in a row (N letters), it is kept for good, and each step
     renames every cell by its letter's 1x1 image: the remaining steps are
     one renaming.  Where that meets a letter whose image is not 1x1, the
@@ -301,8 +308,15 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
         raise ValueError(f"letter {letter} outside the domain 0..{len(m.domain) - 1}")
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
+    built = 0
     for k, shape in zip(range(1, n + 1), _shapes(m, letter)):
         _refuse_over_limit(k, shape)
+        built += shape[0] * shape[1]
+        if built > MAX_ITERATE_WORK:
+            raise IterateTooLarge(
+                f"iteration step {k} would bring the cells built to {built}, over the"
+                f" limit of {MAX_ITERATE_WORK}"
+            )
     w = Word2d.letter(letter)
     kept = 0  # steps in a row that kept the shape
     for k in range(1, n + 1):

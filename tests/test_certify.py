@@ -14,6 +14,10 @@ from wangtiles.corpus import builtin
 U = builtin("U").payload
 V = builtin("V").payload
 W = builtin("W").payload
+# U with its tile order rotated by two: its letter 0 grows slowly under omega,
+# so a patch stopped by the 2x2 factors' radius-1 rule is too small for the
+# radius-3 windows that step 1's stability check asks about.
+U_ROTATED = WangTileSet(list(U)[2:] + list(U)[:2])
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,8 +189,8 @@ def test_rectangle_solve_outcomes(monkeypatch, name, plan, outcomes):
 # witnesses radii above any the run asks about; a fact is checked at most at
 # the top radius the run asked of its shape, since one radius-4 2x2
 # surrounding alone can take seconds to solve.
-def _check_memo_facts(monkeypatch, name, plan):
-    """Certify the built-in set, then re-ask every fact left in the memos."""
+def _check_memo_facts(monkeypatch, T, name, plan):
+    """Certify the set, then re-ask every fact left in the memos."""
     real_tables, real_survives = solver._tables, solver._survives
     memos = {}  # tile set -> its tables, kept past the cache's evictions
     asked: dict[tuple[int, int], int] = {}
@@ -198,7 +202,7 @@ def _check_memo_facts(monkeypatch, name, plan):
     real_tables.cache_clear()
     monkeypatch.setattr(solver, "_tables", lambda T: memos.setdefault(T, real_tables(T)))
     monkeypatch.setattr(solver, "_survives", survives)
-    cert = certify(builtin(name).payload, name, plan)
+    cert = certify(T, name, plan)
     monkeypatch.undo()
     real_tables.cache_clear()
     checked = 0
@@ -216,7 +220,35 @@ def _check_memo_facts(monkeypatch, name, plan):
 
 @pytest.mark.parametrize("name, plan", [("U", "auto"), ("V", [(1, 1), (2, 2)]), ("W", "auto")])
 def test_memo_facts_hold_from_scratch(monkeypatch, name, plan):
-    assert _check_memo_facts(monkeypatch, name, plan).all_verified()
+    assert _check_memo_facts(monkeypatch, builtin(name).payload, name, plan).all_verified()
+
+
+# The rotated set's patch grows to the radius-3 windows of step 1's stability
+# check, so it records more facts; they hold too.
+def test_memo_facts_hold_from_scratch_on_rotated_u(monkeypatch):
+    assert _check_memo_facts(monkeypatch, U_ROTATED, "U", "auto").all_verified()
+
+
+# The auto plan witnesses step 1's stability check from omega's patch at the
+# radius regroup asks: on the rotated set, the parent's radius-1 patch left 21
+# satisfiable 7x14 pinned solves (a vertical domino at radius 3) on the set
+# and 237 solves in all.
+def test_rotated_u_stability_checks_are_witnessed(monkeypatch):
+    calls = satisfiable_7x14 = 0
+    real = solver.solve_rectangle
+
+    def counted(T, width, height, pins, mode):
+        nonlocal calls, satisfiable_7x14
+        calls += 1
+        found = real(T, width, height, pins, mode)
+        satisfiable_7x14 += T == U_ROTATED and (width, height) == (7, 14) and bool(found)
+        return found
+
+    monkeypatch.setattr(solver, "solve_rectangle", counted)
+    solver._tables.cache_clear()
+    assert certify(U_ROTATED, "U", "auto").all_verified()
+    assert satisfiable_7x14 == 0
+    assert calls <= 210
 
 
 # Exact derive() calls from a cold surrounding memo: each derivation step
@@ -257,7 +289,7 @@ def test_provisional_chain_fallback(monkeypatch):
 
     monkeypatch.setattr(module, "AUTO_DIRECTIONS", (1, 2))
     monkeypatch.setattr(module, "derive", counted)
-    doc = json.loads(_check_memo_facts(monkeypatch, "U", "auto").to_json())
+    doc = json.loads(_check_memo_facts(monkeypatch, U, "U", "auto").to_json())
     del doc["timestamps"]
     assert doc == recorded["certificate"]
     assert calls == recorded["deriveCalls"] + 1

@@ -184,6 +184,18 @@ class TestIterateAndRender:
         assert code == 0
         assert json.loads(out) == [[1]]
 
+    def test_iterate_over_the_work_limit_is_a_usage_error(self, capsys, tmp_path):
+        # U's letter 0 -> (0 1) and every other letter is fixed: the word
+        # grows by one cell a step, so the steps' cells sum past the limit.
+        table = tmp_path / "grow.json"
+        table.write_text(json.dumps({str(a): [[0], [1]] if a == 0 else [[a]] for a in range(19)}))
+        code, out, err = run(
+            capsys, "iterate", str(table), "0", str(10**5), "--domain", "U", "--codomain", "U"
+        )
+        assert code == 2 and not out
+        assert err.startswith("error: iteration step 2895 would bring the cells built")
+        assert "Traceback" not in err
+
     def test_malformed_morphism_table_is_a_usage_error(self, capsys, tmp_path):
         table = tmp_path / "m.json"
         for doc in ({"0": 5}, {"0": [5]}, {"0": [["a"]]}, [[0]]):

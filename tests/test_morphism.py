@@ -353,6 +353,40 @@ class TestIterateSizeGuard:
                     iterate(omega, a, n)
                 monkeypatch.undo()
 
+    def test_total_work_is_bounded(self, monkeypatch):
+        # a -> (a b), b -> b: the word grows by one cell a step, so n steps
+        # build about n^2 / 2 cells while the word stays far under the cell
+        # limit.  The running sum refuses it before anything is built.
+        applied = 0
+        real = morphism.apply
+
+        def counted(*args):
+            nonlocal applied
+            applied += 1
+            return real(*args)
+
+        monkeypatch.setattr(morphism, "apply", counted)
+        ts = letters(2)
+        m = Morphism2d(ts, ts, (Word2d(((0,), (1,))), Word2d.letter(1)))
+        with pytest.raises(morphism.IterateTooLarge, match="step 2895 would bring the cells built"):
+            iterate(m, 0, 10**5)
+        assert applied == 0
+
+    def test_every_letter_of_omega_passes_at_level_15(self, monkeypatch):
+        # Reaching apply means the guard let the iterate through.
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(morphism, "apply", refuse)
+        for a in range(len(U)):
+            with pytest.raises(Built):
+                iterate(omega, a, 15)
+            with pytest.raises(morphism.IterateTooLarge):
+                iterate(omega, a, 17)
+
 
 class TestFactors:
     def test_identity_on_one_letter_has_none(self):
