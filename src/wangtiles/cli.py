@@ -21,7 +21,7 @@ from .derivation import MarkerSet, derive, find_marker_candidates, verify_marker
 from .morphism import Morphism2d, Word2d, incidence_matrix, iterate
 from .render import render, render_morphism, stone_geometry_u, stone_render
 from .solver import dominoes_with_surrounding, is_valid_pattern, patterns_with_surrounding
-from .spectral import char_poly, exact_perron_frequencies, is_primitive, perron
+from .spectral import spectral_report
 from .suite import run_suite
 
 
@@ -176,25 +176,7 @@ def cmd_render(args) -> int:
 
 def cmd_spectral(args) -> int:
     m = load_morphism(args.morphism, args.domain, args.codomain)
-    M = incidence_matrix(m)
-    lines = []
-    poly = char_poly(M)
-    lines.append(f"characteristic polynomial: {poly.pretty()}")
-    lines.append(f"coefficients (ascending): {list(poly.coeffs)}")
-    exponent = is_primitive(M)
-    lines.append(f"primitivity exponent: {exponent}")
-    if exponent is not None:
-        value = perron(M)
-        lines.append(f"dominant eigenvalue: {value:.12f}")
-        try:
-            lam, freqs = exact_perron_frequencies(M)
-            lines.append(f"exact eigenvalue: {lam.pretty()}")
-            lines.append("frequencies (exact = decimal):")
-            for i, f in enumerate(freqs):
-                lines.append(f"  {i:>3}: {f.pretty():>18} = {float(f):.6f}")
-        except ValueError as e:
-            lines.append(f"exact frequencies unavailable: {e}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, spectral_report(incidence_matrix(m)))
     return 0
 
 

@@ -3,11 +3,15 @@
 Rectangles have free boundary colors; only interior adjacencies are
 constrained.  The solver works on candidate bitmasks (one bit per tile):
 every cell starts with every tile, a pinned cell with its pin alone, and
-arc-consistency propagation prunes them to its unique fixpoint before
-search; then one iterative forward-checking backtracker, most constrained
-cell first, finishes the job for every mode: existence stops at the first
-solution, counting tallies them, and enumerations are sorted into
-canonical cell-scan order (bottom row first, left to right).
+arc-consistency propagation prunes them to its unique fixpoint.  Existence
+and enumeration then run one iterative forward-checking backtracker, most
+constrained cell first: existence stops at the first solution, and
+enumerations are sorted into canonical cell-scan order (bottom row first,
+left to right).  Counting never enumerates: a transfer-matrix sweep
+(Stanley, Enumerative Combinatorics I, 4.7) carries the number of partial
+tilings per boundary-color state over the propagated masks, row by row
+along the shorter side, so its cost grows with the number of states, not
+with the count, and a sweep whose states pass MAX_COUNT_STATES is refused.
 
 Propagation works by arc (AC-3, Mackworth 1977): a queue holds the cells
 whose mask changed, and popping one revises each of its four neighbors
@@ -224,8 +228,74 @@ def _initial_masks(
     return masks, pinned if tb.partnered else range(width * height)
 
 
+# _count refuses once its frontier holds more boundary states than this.  A
+# free 10x10 rectangle of U peaks at 41,379 states and passes; 11x11 peaks at
+# 94,667 and is refused.  A state costs about 170 bytes at a side of 40
+# cells, so a refused sweep stays near 10 MB.
+MAX_COUNT_STATES = 1 << 16
+
+
+class CountTooLarge(ValueError):
+    """A count whose sweep frontier would hold more than MAX_COUNT_STATES states."""
+
+
+def _count(T: WangTileSet, masks: list[int], width: int, height: int) -> int:
+    """Number of completions of the propagated masks, by a transfer-matrix sweep.
+
+    Cells are visited row by row along the shorter side; a wider rectangle is
+    swept in its reflection through the diagonal, which turns each tile
+    (r, t, l, b) into (t, r, b, l).  A state holds the top colors of the last
+    ``side`` cells visited and the right color of the previous cell, and maps
+    to the number of partial tilings that reach it.  Colors are numbered from
+    1 and packed into one integer, a digit per cell of the row and one more
+    for the right color; 0 marks a side with nothing placed yet, and the
+    right digit is 0 again after a row's last cell.  Each cell's candidates
+    are the tiles of its mask, grouped by the (bottom, left) digits they
+    need, and placing one changes those two digits: an XOR with a delta
+    fixed per cell and tile.  Raises CountTooLarge once the frontier passes
+    MAX_COUNT_STATES.
+    """
+    shape = f"{width}x{height}"
+    code: dict[str, int] = {}
+    tiles = [tuple(code.setdefault(c, len(code) + 1) for c in t.as_tuple()) for t in T]
+    if width > height:
+        tiles = [(t, r, b, l) for r, t, l, b in tiles]
+        masks = [masks[y * width + x] for x in range(width) for y in range(height)]
+        width, height = height, width
+    bits = len(code).bit_length()
+    digit = (1 << bits) - 1
+    right_at = bits * width
+    ways = {0: 1}
+    for idx, m in enumerate(masks):
+        x, y = idx % width, idx // width
+        at = bits * x
+        needs: dict[int, dict[int, int]] = {}
+        while m:
+            r, t, l, b = tiles[(m & -m).bit_length() - 1]
+            m &= m - 1
+            need = (b if y else 0) << at | (l if x else 0) << right_at
+            delta = need ^ (t << at | (0 if x + 1 == width else r) << right_at)
+            gives = needs.setdefault(need, {})
+            gives[delta] = gives.get(delta, 0) + 1
+        groups = {need: tuple(gives.items()) for need, gives in needs.items()}
+        select = digit << at | digit << right_at
+        step: dict[int, int] = {}
+        for state, n in ways.items():
+            for delta, k in groups.get(state & select, ()):
+                nxt = state ^ delta
+                step[nxt] = step.get(nxt, 0) + n * k
+            if len(step) > MAX_COUNT_STATES:
+                raise CountTooLarge(
+                    f"counting a {shape} rectangle needs more than"
+                    f" {MAX_COUNT_STATES} boundary states"
+                )
+        ways = step
+    return sum(ways.values())
+
+
 def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterator[list[int]]:
-    """Yield every completion of the propagated masks.
+    """Yield every completion of the propagated masks, for existence and
+    enumeration; counting sweeps the masks instead (_count).
 
     Each solution is the live ``masks`` list with one bit per cell; copy it to
     keep it past the next step.  The most constrained cell is branched on
@@ -313,7 +383,9 @@ def solve_rectangle(
 ) -> Union[bool, list[Word2d], int]:
     """Tile a width x height rectangle, optionally with pinned cells.
 
-    Mutually inconsistent pins give False / [] / 0, never an error.
+    Mutually inconsistent pins give False / [] / 0, never an error.  A count
+    whose sweep would pass MAX_COUNT_STATES boundary states raises
+    CountTooLarge.
     """
     if width < 1 or height < 1:
         raise ValueError("rectangle dimensions must be >= 1")
@@ -331,11 +403,11 @@ def solve_rectangle(
     # that starts empty, so that case is answered here.
     if not tb.full or not _propagate(masks, width, height, tb, changed):
         return False if mode == "exists" else ([] if mode == "enumerate" else 0)
+    if mode == "count":
+        return _count(T, masks, width, height)
     found = _solutions(masks, width, height, tb)
     if mode == "exists":
         return next(found, None) is not None
-    if mode == "count":
-        return sum(1 for _ in found)
     # Row-major tile tuples sort into canonical scan order (y outer, x inner).
     scans = sorted(tuple(m.bit_length() - 1 for m in sol) for sol in found)
     return [

@@ -4,7 +4,8 @@ A leaf module: it imports nothing from the package.  Everything is arbitrary
 precision: matrices over the integers, polynomials over the integers, and
 numbers a + b*phi in the quadratic ring Z[phi] with phi**2 = phi + 1.
 Floating point appears only in ``perron``, the float Perron root from which
-the exact eigenvalue is recognized, and in display helpers.
+the exact eigenvalue is recognized, and in display helpers such as
+``spectral_report``, the text of ``wangtiles spectral``.
 
 Exact eigenvectors come from fraction-free Gauss-Jordan elimination on
 (a, b) integer pairs of Z[phi]: no fraction is formed while eliminating, and
@@ -366,6 +367,11 @@ def perron(M: IntMatrix) -> float:
     """
     if is_primitive(M) is None:
         raise ValueError("matrix is not primitive")
+    return _power_iteration(M)
+
+
+def _power_iteration(M: IntMatrix) -> float:
+    """perron's iteration, on a matrix already known to be primitive."""
     v = [1.0] * M.n
     w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
     value = 0.0
@@ -463,7 +469,11 @@ def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRat
     before it is normalized: if either check fails the function raises, it
     never returns an unverified guess.
     """
-    value = perron(M)
+    return _exact_perron(M, perron(M))
+
+
+def _exact_perron(M: IntMatrix, value: float) -> tuple[GoldenNumber, list[GoldenRational]]:
+    """exact_perron_frequencies from ``value``, the float Perron root of M."""
     # If lam = a + b*phi is an eigenvalue of the integer matrix M, so is its
     # conjugate lam', and |lam'| <= lam; hence |b|*sqrt(5) = |lam - lam'| <= 2*lam.
     lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
@@ -482,3 +492,32 @@ def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRat
     if any(float(f) <= 0 for f in freqs):
         freqs = [-f for f in freqs]
     return lam, freqs
+
+
+def spectral_report(M: IntMatrix) -> str:
+    """The text of ``wangtiles spectral``: the characteristic polynomial, the
+    primitivity exponent and, for a primitive M, the float Perron root and
+    the exact eigenvalue and frequencies (or why they are unavailable).
+
+    Primitivity is decided once and the power iteration runs once; both feed
+    the exact path.
+    """
+    poly = char_poly(M)
+    lines = [
+        f"characteristic polynomial: {poly.pretty()}",
+        f"coefficients (ascending): {list(poly.coeffs)}",
+    ]
+    exponent = is_primitive(M)
+    lines.append(f"primitivity exponent: {exponent}")
+    if exponent is not None:
+        value = _power_iteration(M)
+        lines.append(f"dominant eigenvalue: {value:.12f}")
+        try:
+            lam, freqs = _exact_perron(M, value)
+            lines.append(f"exact eigenvalue: {lam.pretty()}")
+            lines.append("frequencies (exact = decimal):")
+            for i, f in enumerate(freqs):
+                lines.append(f"  {i:>3}: {f.pretty():>18} = {float(f):.6f}")
+        except ValueError as e:
+            lines.append(f"exact frequencies unavailable: {e}")
+    return "\n".join(lines) + "\n"

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .certify import certify
 from .core import WangTile, WangTileSet, check_equivalence, fuse
@@ -320,41 +319,54 @@ def criterion_12_frequencies() -> CheckResult:
 
 
 def _brute_force_count(tiles: list[WangTile], width: int, height: int) -> int:
-    """Direct enumeration of every assignment; the independent solver oracle."""
-    count = 0
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    for combo in product(range(len(tiles)), repeat=len(cells)):
-        grid = {cells[k]: tiles[combo[k]] for k in range(len(cells))}
-        ok = True
-        for (x, y), t in grid.items():
-            if x + 1 < width and t.right != grid[(x + 1, y)].left:
-                ok = False
-                break
-            if y + 1 < height and t.top != grid[(x, y + 1)].bottom:
-                ok = False
-                break
-        count += ok
-    return count
+    """Every assignment, depth first: cells are filled in row-major order and
+    each placed tile is checked against its left and bottom neighbors, so a
+    mismatch prunes every completion of that prefix.  The independent solver
+    oracle, for the small rectangles of C13 (its recursion is a cell deep)."""
+    grid: list[WangTile] = []
+
+    def extend() -> int:
+        k = len(grid)
+        if k == width * height:
+            return 1
+        x, y = k % width, k // width
+        count = 0
+        for t in tiles:
+            if (x and grid[k - 1].right != t.left) or (y and grid[k - width].top != t.bottom):
+                continue
+            grid.append(t)
+            count += extend()
+            grid.pop()
+        return count
+
+    return extend()
+
+
+C13_SEED = 20260808
+
+
+def _oracle_cases(rng: random.Random) -> Iterator[tuple[list[WangTile], int, int]]:
+    """C13's 200 random (tiles, width, height) solver-oracle cases."""
+    for _ in range(200):
+        ntiles = rng.randint(1, 4)
+        colors = ["a", "b", "c"]
+        tiles: list[WangTile] = []
+        while len(tiles) < ntiles:
+            t = WangTile(*(rng.choice(colors) for _ in range(4)))
+            if t not in tiles:
+                tiles.append(t)
+        yield tiles, rng.randint(1, 3), rng.randint(1, 3)
 
 
 def criterion_13_property_suites() -> CheckResult:
-    rng = random.Random(20260808)
+    rng = random.Random(C13_SEED)
     U = builtin("U").payload
     V = builtin("V").payload
     omega = builtin("omega").payload
 
     # Solver vs brute force on small random tile sets.
-    for case in range(200):
-        ntiles = rng.randint(1, 4)
-        colors = ["a", "b", "c"]
-        tiles = []
-        while len(tiles) < ntiles:
-            t = WangTile(*(rng.choice(colors) for _ in range(4)))
-            if t not in tiles:
-                tiles.append(t)
-        width, height = rng.randint(1, 3), rng.randint(1, 3)
-        ts = WangTileSet(tiles)
-        fast = solve_rectangle(ts, width, height, None, "count")
+    for case, (tiles, width, height) in enumerate(_oracle_cases(rng)):
+        fast = solve_rectangle(WangTileSet(tiles), width, height, None, "count")
         slow = _brute_force_count(tiles, width, height)
         if fast != slow:
             return False, f"solver oracle mismatch on case {case}: {fast} != {slow}"

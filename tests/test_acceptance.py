@@ -7,11 +7,13 @@ stated time budget.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
+from suite_reference import product_count
 
-from wangtiles.suite import CRITERIA
+from wangtiles.suite import C13_SEED, CRITERIA, _brute_force_count, _oracle_cases
 
 BUDGETS = {
     "C01": 60, "C02": 30, "C03": 10, "C04": 60, "C05": 30, "C06": 10,
@@ -29,3 +31,15 @@ def test_criterion(code, name, fn):
     print(f"{status} {code} {name} ({elapsed:.1f}s) :: {detail}")
     assert ok, f"{code} {name}: {detail}"
     assert elapsed <= BUDGETS[code], f"{code} exceeded its {BUDGETS[code]}s budget"
+
+
+def test_c13_oracle_matches_product_reference():
+    """C13's depth-first oracle counts what the product loop it replaced
+    counts, on C13's own 200 cases."""
+    counts = [
+        (_brute_force_count(tiles, width, height), product_count(tiles, width, height))
+        for tiles, width, height in _oracle_cases(random.Random(C13_SEED))
+    ]
+    assert len(counts) == 200
+    assert all(fast == slow for fast, slow in counts)
+    assert sum(slow > 0 for _, slow in counts) > 100  # most cases have tilings to count

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wangtiles import cli, derivation
+from wangtiles import cli, derivation, spectral
 from wangtiles.cli import main
 from wangtiles.core import parse_tileset
 from wangtiles.corpus import builtin
@@ -242,6 +242,26 @@ class TestSpectralCommand:
         assert "primitivity exponent: 7" in out
         assert "1 + phi" in out
         assert out == (DATA / "spectral_omega.txt").read_text()
+
+    def test_omega_report_decides_primitivity_and_iterates_once(self, capsys, monkeypatch):
+        calls = {"is_primitive": 0, "_power_iteration": 0, "perron": 0}
+
+        def counted(name, fn):
+            def wrapper(M):
+                calls[name] += 1
+                return fn(M)
+
+            return wrapper
+
+        for name in calls:
+            if hasattr(spectral, name):
+                wrapper = counted(name, getattr(spectral, name))
+                monkeypatch.setattr(spectral, name, wrapper)
+                monkeypatch.setattr(cli, name, wrapper, raising=False)
+        code, out, _ = run(capsys, "spectral", "omega")
+        assert code == 0
+        assert out == (DATA / "spectral_omega.txt").read_text()
+        assert calls == {"is_primitive": 1, "_power_iteration": 1, "perron": 0}
 
     def test_gamma_not_primitive(self, capsys):
         code, out, _ = run(capsys, "spectral", "gamma")
