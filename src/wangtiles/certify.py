@@ -9,39 +9,22 @@ premises; a failing step leaves the remaining flags false rather than
 guessing.
 
 A planned step (direction, radius) takes the first verified marker
-candidate there.  The auto plan tries e2 then e1 with radii 1..3 and takes
-the first candidate whose regrouping is stable: the singles and fusions read
-off the radius r+1 dominoes equal those of the derivation at radius r.
-Stability compares only those two tuples, so no second derivation is built.
-
-Stability is decided by that rule, but only once the patch below has been
-harvested.  A provisional chain first takes each step's first candidate, and
-yields the equivalence, omega and its primitivity.  One inflation patch of
-omega is grown and harvested into T's memo; each level passes through the
-once-derived set and is harvested into that set's memo too, so the patch
-witnesses the dominoes both stability checks ask about.  When step 1 is
-auto, the patch grows until it witnesses omega's dominoes along step 1's
-axis at step 1's radius + 1, the radius its stability check asks; by unique
-composition every domino of the language occurs in some omega^k(a), and it
-lies in one of omega's 2x2 factors, so the dominoes are read off those.  A
-fixed plan asks no stability check, and its patch grows for the 2x2 factors
-at radius 1.  Then the rule runs unchanged, so the certificate is the
-rule's.  Both passes read one memo, kept for the run, of the candidates
-found and the derivations built, keyed by source set, markers and radius:
-the rule derives again nothing the chain derived, and where it takes the
-chain's derivations it keeps the chain's omega.  A harvested patch is
-checked valid first, so it records only true facts whichever chain grew it.
+candidate there.  The auto plan searches step 1 along e2 then e1, and step 2
+along the axis step 1 did not use, each with radii 1..3, and takes the first
+chain of two derivations whose twice-derived set is a relabeling of T and
+whose self-map is expansive: two steps along one axis never give a 2x2
+image.  Any order is sound, since every derivation in the chain is verified
+and the later steps check the chain as for a planned one.  When no chain
+closes, the certificate reports the first chain tried, as far as it got.
 
 The 2x2 step compares the factors of the self-map omega with the patterns
 that admit a radius-r surrounding.  Since omega is primitive, every factor
 occurs in omega^k(a) once k is large, so before each radius the inflation
 patch of omega is grown further and harvested: a valid patch witnesses the
-surroundings of the factors inside it, with no pinned search each.
-
-One stop rule grows the patch for every caller: until every pattern asked
-about is witnessed at the radius asked, or until the patch has more cells
-than the pinned rectangles it would replace, n1*n2*(1+2r)^2 cells for each
-n1 x n2 pattern still missing.
+surroundings of the factors inside it, with no pinned search each.  The
+patch grows until every factor is witnessed at the radius, or until it has
+more cells than the pinned rectangles it would replace, 4*(1+2r)^2 cells
+for each 2x2 factor still missing.
 """
 
 from __future__ import annotations
@@ -54,15 +37,15 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .core import WangTileSet, check_equivalence
-from .derivation import Derivation, derive, find_marker_candidates, regroup
+from .derivation import Derivation, derive, find_marker_candidates
 from .morphism import (
+    CompositionError,
     Morphism2d,
     Word2d,
     apply,
     compose,
     factors_2x2,
     incidence_matrix,
-    subwords,
 )
 from .solver import harvest, known_to_survive, patterns_with_surrounding
 from .spectral import is_primitive
@@ -116,45 +99,33 @@ def _now() -> str:
 
 
 def _derivations(
-    T: WangTileSet, spec: Optional[tuple[int, int]], memo: dict
+    T: WangTileSet, spec: Optional[tuple[int, int]], axes: Sequence[int]
 ) -> Iterator[Derivation]:
-    """The derivation of each marker candidate the plan entry (None: auto) may
-    take, lazily and in the rule's order.  The memo keeps each candidate list
-    and each derivation for the rest of the run; a derive() that raised is
-    asked again and raises again."""
+    """The derivation of each marker candidate a step may take, lazily and in
+    order: a planned step (direction, radius) takes the first candidate there,
+    an auto step (None) every candidate along the axes, radii 1..3."""
     if spec is None:
-        tries = [(e, r) for e in AUTO_DIRECTIONS for r in range(1, AUTO_MAX_RADIUS + 1)]
+        tries = [(e, r) for e in axes for r in range(1, AUTO_MAX_RADIUS + 1)]
     else:
         tries = [spec]
     for direction, radius in tries:
-        if (T, direction, radius) not in memo:
-            memo[T, direction, radius] = find_marker_candidates(T, direction, radius)
-        for markers in memo[T, direction, radius]:
-            # keyed by the radius too: one marker set can be a candidate at two
-            if (T, markers, radius) not in memo:
-                memo[T, markers, radius] = derive(T, markers, radius)
-            yield memo[T, markers, radius]
-
-
-def _stable(d: Derivation, spec: Optional[tuple[int, int]]) -> bool:
-    """Does a planned step take the derivation?  Auto asks for a stable regrouping."""
-    if spec is not None:
-        return True
-    return regroup(d.source, d.markers, d.radius + 1) == (d.singles, d.fusions)
+        for markers in find_marker_candidates(T, direction, radius):
+            yield derive(T, markers, radius)
+            if spec is not None:
+                return
 
 
 class _SelfMap:
     """The equivalence of T with the twice-derived set and, when there is one,
-    omega = outer o inner: outer is step 1's morphism and inner is step 2's
-    after the relabeling, a map from T to the once-derived set.  ``patch`` is
-    the inflation patch of omega grown so far."""
+    omega = step 1's morphism o step 2's morphism o the relabeling, with its
+    primitivity exponent.  ``error`` says why the images did not assemble
+    into omega; ``patch`` is the inflation patch of omega grown so far."""
 
-    def __init__(self, T: WangTileSet, derivations: list[Derivation]):
-        self.derivations = derivations
-        d1, d2 = derivations
-        self.inner: Optional[Morphism2d] = None
+    def __init__(self, T: WangTileSet, chain: list[Derivation]):
+        d1, d2 = chain
         self.omega: Optional[Morphism2d] = None
         self.exponent: Optional[int] = None
+        self.error: Optional[str] = None
         self.patch = Word2d.letter(0)
         self.eq = check_equivalence(T, d2.derived)
         if self.eq is None:
@@ -162,8 +133,11 @@ class _SelfMap:
         relabeling = Morphism2d(
             T, d2.derived, tuple(Word2d.letter(self.eq.tile_map[i]) for i in range(len(T)))
         )
-        self.inner = compose(d2.morphism, relabeling)
-        self.omega = compose(d1.morphism, self.inner)
+        try:
+            self.omega = compose(d1.morphism, compose(d2.morphism, relabeling))
+        except CompositionError as e:
+            self.error = str(e)
+            return
         self.exponent = is_primitive(incidence_matrix(self.omega))
 
     @property
@@ -175,27 +149,44 @@ class _SelfMap:
         return factors_2x2(self.omega)
 
 
-def _witness(
-    T: WangTileSet, sm: _SelfMap, patterns: set[Word2d], radius: int, between: bool = False
-) -> None:
+def _search(
+    T: WangTileSet, steps: list[Optional[tuple[int, int]]], chain: list[Derivation]
+) -> Optional[_SelfMap]:
+    """Try the chains of derivations the plan may take, in order, and fill
+    ``chain`` with the first whose self-map is expansive; return that self-map.
+
+    When none is, ``chain`` gets the first chain tried, as far as it got, and
+    the result is its self-map, or None if it has fewer than two steps or a
+    degenerate one.  A derive() that raises ends the search with ``chain``
+    holding the steps before the one that raised.
+    """
+    first: Optional[tuple[list[Derivation], Optional[_SelfMap]]] = None
+    for d1 in _derivations(T, steps[0], AUTO_DIRECTIONS):
+        chain.append(d1)
+        if not d1.degenerate:
+            other = (3 - d1.markers.direction,)
+            for d2 in _derivations(d1.derived, steps[1], other):
+                chain.append(d2)
+                sm = None if d2.degenerate else _SelfMap(T, chain)
+                if sm is not None and sm.expansive:
+                    return sm
+                first = first or (chain[:], sm)
+                chain.pop()
+        first = first or (chain[:], None)
+        chain.pop()
+    if first is None:
+        return None
+    chain[:], sm = first
+    return sm
+
+
+def _witness(T: WangTileSet, sm: _SelfMap, patterns: set[Word2d], radius: int) -> None:
     """Grow the inflation patch by omega, harvesting each level, until every
     pattern is known to survive at the radius, or the patch has more cells
     than the pinned rectangles of the patterns still unwitnessed.  An n1 x n2
     pattern's pinned rectangle at radius r has n1*n2*(1+2r)^2 cells.
-
-    The callers pass the patterns whose surroundings the rule asks next, at
-    the radius it asks them: the 2x2 factors at the 2x2 step's radius, and
-    before the auto plan's stability checks, omega's dominoes along step 1's
-    axis at step 1's radius + 1, the radius regroup asks.  Those dominoes
-    are read off the 2x2 factors: each holds two dominoes along each axis,
-    and every domino of the language lies in some 2x2 factor.
-
-    With ``between``, each level P' = outer(Q) passes through Q = inner(P), a
-    patch over the once-derived set, harvested into that set's memo for the
-    second step's stability check.  factors_2x2 has applied omega to every
-    2x2 factor, so omega applies to the patch; omega is primitive, so the
-    patch grows and the loop ends."""
-    outer = sm.derivations[0].morphism
+    factors_2x2 has applied omega to every 2x2 factor, so omega applies to
+    the patch; omega is primitive, so the patch grows and the loop ends."""
     scale = (1 + 2 * radius) ** 2
     while True:
         pinned = sum(
@@ -205,12 +196,7 @@ def _witness(
         width, height = sm.patch.shape
         if not pinned or width * height > pinned:
             return
-        if between:
-            q = apply(sm.inner, sm.patch)
-            harvest(outer.domain, q)
-            sm.patch = apply(outer, q)
-        else:
-            sm.patch = apply(sm.omega, sm.patch)
+        sm.patch = apply(sm.omega, sm.patch)
         harvest(T, sm.patch)
 
 
@@ -244,46 +230,18 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
 
 
 def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate) -> None:
-    """Append each step to the certificate, stopping at the first that fails.
-
-    The provisional chain takes each step's first candidate.  When it reaches
-    an expansive omega, its inflation patch is grown and harvested before any
-    stability check is asked, so the patch answers them.  Then each step is
-    decided by the rule, in order; both passes read one memo of candidates
-    and derivations, so the rule derives only what the chain did not.
-    """
-    memo: dict = {}
-    provisional: Optional[_SelfMap] = None
+    """Append each step to the certificate, stopping at the first that fails."""
     chain: list[Derivation] = []
+    error = None
     try:
-        for spec in steps:
-            d = next(_derivations(chain[-1].derived if chain else T, spec, memo), None)
-            if d is None or d.degenerate:
-                break
-            chain.append(d)
-        else:
-            provisional = _SelfMap(T, chain)
-            if provisional.expansive:
-                patterns, radius = provisional.factors, 1
-                if steps[0] is None:  # regroup asks about step 1's dominoes at r+1
-                    d1 = chain[0]
-                    shape = (2, 1) if d1.markers.direction == 1 else (1, 2)
-                    patterns = {d for f in patterns for d in subwords(f, shape)}
-                    radius = d1.radius + 1
-                _witness(T, provisional, patterns, radius, between=None in steps)
-    except ValueError:  # the rule meets the same error, or a morphism that does not assemble
-        provisional = None
-
-    derivations: list[Derivation] = []
+        sm = _search(T, steps, chain)
+    except ValueError as e:  # e.g. colliding derived tiles on degenerate input
+        sm, error = None, str(e)
     for k, spec in enumerate(steps, start=1):
-        current = derivations[-1].derived if derivations else T
-        evidence: dict = {"plan": "auto" if spec is None else list(spec)}
-        try:
-            d = next((d for d in _derivations(current, spec, memo) if _stable(d, spec)), None)
-        except ValueError as e:  # e.g. colliding derived tiles on degenerate input
-            d = None
-            evidence["error"] = str(e)
-        if d is None:
+        if k > len(chain):
+            evidence: dict = {"plan": "auto" if spec is None else list(spec)}
+            if error is not None:
+                evidence["error"] = error
             cert.steps.append(
                 Step(
                     claim=f"derivation step {k}: a verified marker set exists",
@@ -292,6 +250,7 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
                 )
             )
             return
+        d = chain[k - 1]
         # derive() refuses a morphism that fails the letter-level criterion,
         # so a derivation that got here satisfies it.
         cert.steps.append(
@@ -311,11 +270,7 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
         )
         if d.degenerate:
             return
-        derivations.append(d)
 
-    sm = provisional
-    if sm is None or sm.derivations != derivations:
-        sm = _SelfMap(T, derivations)
     eq = sm.eq
     cert.steps.append(
         Step(
@@ -335,14 +290,15 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     if eq is None:
         return
 
-    omega = sm.omega
+    if sm.omega is None:
+        evidence = {"error": sm.error}
+    else:
+        shapes = {f"{a}x{b}" for a, b in (im.shape for im in sm.omega.images)}
+        evidence = {"primitivityExponent": sm.exponent, "imageShapes": sorted(shapes)}
     cert.steps.append(
         Step(
             claim="composed self-map is primitive and expansive",
-            evidence={
-                "primitivityExponent": sm.exponent,
-                "imageShapes": sorted({f"{a}x{b}" for a, b in (im.shape for im in omega.images)}),
-            },
+            evidence=evidence,
             status="pass" if sm.expansive else "fail",
         )
     )
@@ -357,7 +313,7 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     # little before giving up.
     factors = sm.factors
     minimal = False
-    evidence: dict = {"factorCount": len(factors)}
+    evidence = {"factorCount": len(factors)}
     for r in range(1, AUTO_MAX_RADIUS + 1):
         _witness(T, sm, factors, r)
         admitted = set(patterns_with_surrounding(T, (2, 2), r))

@@ -10,6 +10,7 @@ agree along each input row and image widths agree along each input column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -133,6 +134,12 @@ class Morphism2d:
         if bad:
             raise ValueError(f"image letter {bad[0]} outside codomain")
 
+    @cached_property
+    def image_tables(self) -> tuple[list[int], list[int], list[tuple[tuple[int, ...], ...]]]:
+        """Letter by letter, the width, the height and the columns of its image."""
+        columns = [im.columns for im in self.images]
+        return [len(c) for c in columns], [len(c[0]) for c in columns], columns
+
     def to_json_table(self) -> dict[str, list[list[int]]]:
         """The file format: domain index -> list of columns, bottom to top."""
         return {str(a): [list(c) for c in im.columns] for a, im in enumerate(self.images)}
@@ -159,31 +166,34 @@ def apply(m: Morphism2d, w: Word2d) -> Word2d:
     """Apply a morphism to a word by block assembly.
 
     Raises DomainError naming the first offending cell pair when the images
-    cannot be assembled (the word is outside the morphism's natural domain).
+    cannot be assembled (the word is outside the morphism's natural domain):
+    the rows' heights are checked first, row by row, then the columns'
+    widths, column by column.  Each distinct column of the word is checked
+    and assembled once, through the per-letter image tables.
     """
-    n1, n2 = w.shape
-    images = [[m.images[w.cell(x, y)] for y in range(n2)] for x in range(n1)]
-    heights = [images[0][y].shape[1] for y in range(n2)]
-    widths = [images[x][0].shape[0] for x in range(n1)]
-    for y in range(n2):
-        for x in range(1, n1):
-            if images[x][y].shape[1] != heights[y]:
-                raise DomainError(
-                    f"image heights differ along row {y}: cells (0,{y}) and ({x},{y})"
-                )
-    for x in range(n1):
-        for y in range(1, n2):
-            if images[x][y].shape[0] != widths[x]:
-                raise DomainError(
-                    f"image widths differ along column {x}: cells ({x},0) and ({x},{y})"
-                )
-    return Word2d(
-        tuple(
-            tuple(chain.from_iterable(im.columns[k] for im in images[x]))
-            for x in range(n1)
-            for k in range(widths[x])
+    widths, heights, image_columns = m.image_tables
+    columns = w.columns
+    distinct = dict.fromkeys(columns)
+    if len({tuple(map(heights.__getitem__, col)) for col in distinct}) > 1:
+        y, x = next(
+            (y, x)
+            for y, a0 in enumerate(columns[0])
+            for x in range(1, len(columns))
+            if heights[columns[x][y]] != heights[a0]
         )
-    )
+        raise DomainError(f"image heights differ along row {y}: cells (0,{y}) and ({x},{y})")
+    for col in distinct:
+        column_widths = list(map(widths.__getitem__, col))
+        if column_widths.count(column_widths[0]) != len(col):
+            x = columns.index(col)
+            y = next(y for y, v in enumerate(column_widths) if v != column_widths[0])
+            raise DomainError(f"image widths differ along column {x}: cells ({x},0) and ({x},{y})")
+        # the k-th columns of the images up the column, stacked bottom to top
+        distinct[col] = [
+            tuple(chain.from_iterable(parts))
+            for parts in zip(*map(image_columns.__getitem__, col))
+        ]
+    return Word2d(tuple(chain.from_iterable(map(distinct.__getitem__, columns))))
 
 
 def compose(outer: Morphism2d, inner: Morphism2d) -> Morphism2d:

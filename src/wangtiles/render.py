@@ -30,6 +30,15 @@ _PALETTE = (
 )
 
 
+# The characters that XML text and TeX treat specially, each replaced in one
+# pass so that no replacement is escaped again.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_TEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}", "%": r"\%", "#": r"\#", "&": r"\&", "_": r"\_",
+    "{": r"\{", "}": r"\}", "$": r"\$", "^": r"\textasciicircum{}", "~": r"\textasciitilde{}",
+})
+
+
 class GeometryError(ValueError):
     """Stone rectangles do not fit together."""
 
@@ -152,7 +161,9 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
         label_size = _fmt(s / 4)
     else:
         label_size = _fmt(s / 5)
-        tokens = {a: [display_token(c) for c in T[a].as_tuple()] for a in fills}
+        tokens = {
+            a: [display_token(c).translate(_XML_ESCAPES) for c in T[a].as_tuple()] for a in fills
+        }
     for column, (x0, x1, cx, x85, x15) in zip(pattern.columns, xs):
         for a, (y0, y1, cy, y85, y15) in zip(column, ys):
             right, top, left, bottom = fills[a]
@@ -247,7 +258,10 @@ def _tikz_cells(
     index: bool,
 ) -> list[str]:
     """A rectangle and its four edge colors per cell, from formatted column and row spans."""
-    tokens = {a: [display_token(c) for c in T[a].as_tuple()] for a in pattern.letters()}
+    tokens = {
+        a: [display_token(c).translate(_TEX_ESCAPES) for c in T[a].as_tuple()]
+        for a in pattern.letters()
+    }
     out = []
     for column, (x0, x1, cx, x8, x2) in zip(pattern.columns, xs):
         for a, (y0, y1, cy, y8, y2) in zip(column, ys):

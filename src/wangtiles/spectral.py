@@ -367,11 +367,12 @@ def perron(M: IntMatrix) -> float:
     """
     if is_primitive(M) is None:
         raise ValueError("matrix is not primitive")
-    return _power_iteration(M)
+    return power_iteration(M)
 
 
-def _power_iteration(M: IntMatrix) -> float:
-    """perron's iteration, on a matrix already known to be primitive."""
+def power_iteration(M: IntMatrix) -> float:
+    """perron's iteration, for callers that have already decided that M is
+    primitive and so need not decide it again."""
     v = [1.0] * M.n
     w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
     value = 0.0
@@ -510,7 +511,7 @@ def spectral_report(M: IntMatrix) -> str:
     exponent = is_primitive(M)
     lines.append(f"primitivity exponent: {exponent}")
     if exponent is not None:
-        value = _power_iteration(M)
+        value = power_iteration(M)
         lines.append(f"dominant eigenvalue: {value:.12f}")
         try:
             lam, freqs = _exact_perron(M, value)

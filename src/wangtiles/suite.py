@@ -44,7 +44,7 @@ from .spectral import (
     exact_perron_frequencies,
     golden_eigencheck,
     is_primitive,
-    perron,
+    power_iteration,
 )
 
 # Vertical dominoes of U with a radius-2 surrounding.
@@ -244,7 +244,8 @@ def criterion_08_spectral() -> CheckResult:
         * IntPolynomial([1, -3, 1]) * IntPolynomial([-1, 1, 1]) ** 3
     )
     poly_ok = char_poly(M) == claimed
-    value = perron(M)
+    # primitivity is decided once, above; the power iteration relies on it
+    value = power_iteration(M) if exponent is not None else math.nan
     perron_ok = abs(value - (3 + math.sqrt(5)) / 2) < 1e-9
     lam = GoldenNumber(1, 1)
     right_ok = golden_eigencheck(M, lam, right_eigenvector(), "right")

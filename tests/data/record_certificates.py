@@ -1,0 +1,72 @@
+"""Record the golden certificates that tests/test_certify.py compares against.
+
+Run from the root of the repository, at the commit whose certificates are the
+reference:
+
+    PYTHONPATH=src python3 tests/data/record_certificates.py
+
+It writes one file per case in CASES to tests/data/, each a certificate
+without its wall-clock timestamps, and fallback_U_auto_e1-first.json: U's
+certificate under the auto plan with e1 tried before e2, together with the
+number of derive() calls that run made.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+from wangtiles.corpus import builtin
+
+# The package exports the certify function under the module's name.
+certify_module = importlib.import_module("wangtiles.certify")
+
+DATA = Path(__file__).parent
+
+CASES = {
+    "certificate_U_auto.json": ("U", "auto"),
+    "certificate_V_e1-1_e2-2.json": ("V", [(1, 1), (2, 2)]),
+    "certificate_W_auto.json": ("W", "auto"),
+}
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _certificate(name: str, plan) -> dict:
+    doc = json.loads(certify_module.certify(builtin(name).payload, name, plan).to_json())
+    del doc["timestamps"]
+    return doc
+
+
+def _e1_first() -> dict:
+    """U under auto with e1 tried first, and the derive() calls it made."""
+    calls = 0
+    real_derive, real_directions = certify_module.derive, certify_module.AUTO_DIRECTIONS
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_derive(*args, **kwargs)
+
+    certify_module.derive, certify_module.AUTO_DIRECTIONS = counted, (1, 2)
+    try:
+        doc = _certificate("U", "auto")
+    finally:
+        certify_module.derive, certify_module.AUTO_DIRECTIONS = real_derive, real_directions
+    return {"certificate": doc, "deriveCalls": calls}
+
+
+def main() -> int:
+    for golden, (name, plan) in CASES.items():
+        (DATA / golden).write_text(_dumps(_certificate(name, plan)))
+    (DATA / "fallback_U_auto_e1-first.json").write_text(_dumps(_e1_first()))
+    print(f"wrote {len(CASES) + 1} files to {DATA}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,17 +1,48 @@
-"""Slow, memo-based iteration and factor closure, kept as references for tests.
+"""Slow block assembly, memo-based iteration and factor closure, kept as
+references for tests.
 
-These are the earlier library versions: iterate() remembers every word met
-at one shape and skips whole periods once one repeats, and factors_2x2()
-re-applies every letter's word in lockstep until each covers a 2x2 block or
-stops changing.  Both can use memory without bound, so the tests run them
-only on small inputs and under a cell guard.
+These are the earlier library versions: apply() reads every cell's image
+shape, iterate() remembers every word met at one shape and skips whole
+periods once one repeats, and factors_2x2() re-applies every letter's word in
+lockstep until each covers a 2x2 block or stops changing.  The last two can
+use memory without bound, so the tests run them only on small inputs and
+under a cell guard.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from wangtiles.morphism import DomainError, Morphism2d, Word2d, apply, subwords
 
 CLOSURE_CAP = 10000
+
+
+def reference_apply(m: Morphism2d, w: Word2d) -> Word2d:
+    """Block assembly with every cell's image shape read off the image."""
+    n1, n2 = w.shape
+    images = [[m.images[w.cell(x, y)] for y in range(n2)] for x in range(n1)]
+    heights = [images[0][y].shape[1] for y in range(n2)]
+    widths = [images[x][0].shape[0] for x in range(n1)]
+    for y in range(n2):
+        for x in range(1, n1):
+            if images[x][y].shape[1] != heights[y]:
+                raise DomainError(
+                    f"image heights differ along row {y}: cells (0,{y}) and ({x},{y})"
+                )
+    for x in range(n1):
+        for y in range(1, n2):
+            if images[x][y].shape[0] != widths[x]:
+                raise DomainError(
+                    f"image widths differ along column {x}: cells ({x},0) and ({x},{y})"
+                )
+    return Word2d(
+        tuple(
+            tuple(chain.from_iterable(im.columns[k] for im in images[x]))
+            for x in range(n1)
+            for k in range(widths[x])
+        )
+    )
 
 
 class TooManyCells(Exception):

@@ -13,6 +13,7 @@ import time
 import pytest
 from suite_reference import product_count
 
+from wangtiles import spectral, suite
 from wangtiles.suite import C13_SEED, CRITERIA, _brute_force_count, _oracle_cases
 
 BUDGETS = {
@@ -43,3 +44,23 @@ def test_c13_oracle_matches_product_reference():
     assert len(counts) == 200
     assert all(fast == slow for fast, slow in counts)
     assert sum(slow > 0 for _, slow in counts) > 100  # most cases have tilings to count
+
+
+def test_c08_decides_primitivity_once(monkeypatch):
+    """C08 feeds the exponent it holds to the power iteration instead of
+    asking perron(), which decides primitivity again."""
+    calls = 0
+    real = spectral.is_primitive
+
+    def counted(M):
+        nonlocal calls
+        calls += 1
+        return real(M)
+
+    monkeypatch.setattr(spectral, "is_primitive", counted)
+    monkeypatch.setattr(suite, "is_primitive", counted)
+    assert suite.criterion_08_spectral() == (
+        True,
+        "matrix: True, exponent: 7, charpoly: True, perron: True, eigenvectors: True",
+    )
+    assert calls == 1

@@ -7,7 +7,7 @@ import pytest
 
 from wangtiles import cli, derivation, spectral
 from wangtiles.cli import main
-from wangtiles.core import parse_tileset
+from wangtiles.core import emit_tileset, parse_tileset
 from wangtiles.corpus import builtin
 from wangtiles.morphism import compose
 
@@ -244,7 +244,7 @@ class TestSpectralCommand:
         assert out == (DATA / "spectral_omega.txt").read_text()
 
     def test_omega_report_decides_primitivity_and_iterates_once(self, capsys, monkeypatch):
-        calls = {"is_primitive": 0, "_power_iteration": 0, "perron": 0}
+        calls = {"is_primitive": 0, "power_iteration": 0, "perron": 0}
 
         def counted(name, fn):
             def wrapper(M):
@@ -261,7 +261,7 @@ class TestSpectralCommand:
         code, out, _ = run(capsys, "spectral", "omega")
         assert code == 0
         assert out == (DATA / "spectral_omega.txt").read_text()
-        assert calls == {"is_primitive": 1, "_power_iteration": 1, "perron": 0}
+        assert calls == {"is_primitive": 1, "power_iteration": 1, "perron": 0}
 
     def test_gamma_not_primitive(self, capsys):
         code, out, _ = run(capsys, "spectral", "gamma")
@@ -315,6 +315,15 @@ class TestCertify:
         }
         assert (figures / "inflation-patch.svg").exists()
         assert (figures / "inflation-patch-stone.svg").exists()
+
+    def test_dual_of_u_passes(self, capsys, tmp_path):
+        tiles = tmp_path / "u-dual.tiles"
+        tiles.write_text(emit_tileset(builtin("U").payload.dual()))
+        code, out, _ = run(capsys, "certify", str(tiles))
+        assert code == 0
+        assert json.loads(out)["conclusion"] == {
+            "selfSimilar": True, "aperiodic": True, "minimal": True,
+        }
 
     def test_periodic_single_tile_fails(self, capsys, tmp_path):
         tiles = tmp_path / "one.tiles"

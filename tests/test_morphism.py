@@ -32,6 +32,7 @@ from wangtiles.spectral import IntMatrix, is_primitive
 from helpers import identity_matrix, identity_morphism
 from morphism_reference import (
     TooManyCells,
+    reference_apply,
     reference_factors_2x2,
     reference_iterate,
 )
@@ -542,7 +543,34 @@ def outcome(f, *args):
         return DomainError
 
 
+def with_message(f, *args):
+    """The result of a call, or the message of the DomainError it raised."""
+    try:
+        return f(*args)
+    except DomainError as e:
+        return str(e)
+
+
 class TestAgainstReference:
+    @settings(deadline=None, max_examples=300)
+    @given(small_morphisms(), st.data())
+    def test_apply_matches_reference(self, m, data):
+        n = len(m.domain)
+        # Arbitrary words, most outside the natural domain, and iterates,
+        # which are inside it until a step raises.
+        width, height = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cells = st.lists(st.integers(0, n - 1), min_size=height, max_size=height)
+        words = [Word2d.from_columns(data.draw(st.lists(cells, min_size=width, max_size=width)))]
+        w = Word2d.letter(data.draw(st.integers(0, n - 1)))
+        while w.shape[0] * w.shape[1] <= 64 and len(words) < 8:
+            words.append(w)
+            try:
+                w = reference_apply(m, w)
+            except DomainError:
+                break
+        for w in words:
+            assert with_message(apply, m, w) == with_message(reference_apply, m, w)
+
     @settings(deadline=None, max_examples=150)
     @given(small_morphisms())
     def test_iterate_matches_stepping(self, m):

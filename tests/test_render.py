@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import importlib.util
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from wangtiles.core import WangTile, WangTileSet, parse_tileset
 from wangtiles.corpus import builtin
-from wangtiles.morphism import Word2d, apply, iterate
+from wangtiles.morphism import Morphism2d, Word2d, apply, iterate
 from wangtiles.render import (
     GeometryError,
     render,
@@ -19,6 +21,10 @@ from wangtiles.spectral import GoldenNumber
 U = builtin("U").payload
 omega = builtin("omega").payload
 GEO = stone_geometry_u()
+# Color tokens made of the characters that SVG and TeX treat specially.
+SPECIAL = WangTileSet(
+    [WangTile("5%", "a_b", "5%", "a_b"), WangTile("{#}", "$^~\\&", "{#}", "$^~\\&")]
+)
 
 _RECORDER = Path(__file__).parent / "data" / "record_renders.py"
 _spec = importlib.util.spec_from_file_location("record_renders", _RECORDER)
@@ -89,6 +95,12 @@ class TestSvgRender:
         bad = Word2d(((0,), (0,)))
         assert 'stroke="red"' in render(U, bad, "svg")
 
+    def test_special_tokens_are_escaped(self):
+        T = parse_tileset("a&b 1 a&b 1\nx<y 2 x<y 2\n")
+        doc = render(T, Word2d(((0, 1), (0, 1))), "svg", "colors")
+        texts = [e.text for e in ET.fromstring(doc.encode("utf-8")).iter() if e.tag.endswith("text")]
+        assert texts.count("a&b") == 4 and texts.count("x<y") == 4
+
     def test_full_inflation_patch_document(self):
         doc = render(U, iterate(omega, 4, 5), "svg")
         assert doc.count("<rect ") == 13 * 8
@@ -106,6 +118,20 @@ class TestTikzRender:
         doc = render_morphism(omega, "tikz")
         assert doc.count("% letter") == 19
         assert doc.count("$\\mapsto$") == 19
+
+    def test_special_tokens_are_escaped(self):
+        doc = render(SPECIAL, Word2d(((0, 1),)), "tikz", "colors")
+        assert "\\node at (0.8, 0.5) {5\\%};" in doc
+        assert "\\node at (0.5, 0.8) {a\\_b};" in doc
+        assert "\\node at (0.8, 1.5) {\\{\\#\\}};" in doc
+        top = r"\$\textasciicircum{}\textasciitilde{}\textbackslash{}\&"
+        assert f"\\node at (0.5, 1.8) {{{top}}};" in doc
+
+    def test_special_tokens_are_escaped_in_morphism_table(self):
+        identity = Morphism2d(SPECIAL, SPECIAL, (Word2d.letter(0), Word2d.letter(1)))
+        doc = render_morphism(identity, "tikz")
+        assert "\\node at (0.8, 0.5) {5\\%};" in doc
+        assert "{5%}" not in doc
 
     def test_morphism_text_table(self):
         doc = render_morphism(omega, "text")
