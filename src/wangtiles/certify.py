@@ -182,19 +182,16 @@ def _search(
 
 def _witness(T: WangTileSet, sm: _SelfMap, patterns: set[Word2d], radius: int) -> None:
     """Grow the inflation patch by omega, harvesting each level, until every
-    pattern is known to survive at the radius, or the patch has more cells
-    than the pinned rectangles of the patterns still unwitnessed.  An n1 x n2
-    pattern's pinned rectangle at radius r has n1*n2*(1+2r)^2 cells.
-    factors_2x2 has applied omega to every 2x2 factor, so omega applies to
-    the patch; omega is primitive, so the patch grows and the loop ends."""
-    scale = (1 + 2 * radius) ** 2
+    2x2 pattern is known to survive at the radius, or the patch has more cells
+    than the pinned rectangles of the patterns still unwitnessed, 4*(1+2r)^2
+    cells each.  factors_2x2 has applied omega to every 2x2 factor, so omega
+    applies to the patch; omega is primitive, so the patch grows and the loop
+    ends."""
+    cells = 4 * (1 + 2 * radius) ** 2
     while True:
-        pinned = sum(
-            n1 * n2 * scale
-            for n1, n2 in (p.shape for p in patterns if not known_to_survive(T, p, radius))
-        )
+        missing = sum(not known_to_survive(T, p, radius) for p in patterns)
         width, height = sm.patch.shape
-        if not pinned or width * height > pinned:
+        if not missing or width * height > cells * missing:
             return
         sm.patch = apply(sm.omega, sm.patch)
         harvest(T, sm.patch)

@@ -142,7 +142,7 @@ def parse_tileset(text: str) -> WangTileSet:
     skipped.  Every other line holds exactly four whitespace-separated color
     tokens in the order: right top left bottom.
     """
-    tiles = []
+    tiles: dict[WangTile, int] = {}  # tile -> its line, in input order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -151,9 +151,11 @@ def parse_tileset(text: str) -> WangTileSet:
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected 4 color tokens, got {len(parts)}")
         tile = WangTile(*parts)
-        if any(tile == t for t in tiles):
-            raise ParseError(f"line {lineno}: duplicate tile {tile.as_tuple()}")
-        tiles.append(tile)
+        if tile in tiles:
+            raise ParseError(
+                f"line {lineno}: duplicate tile {tile.as_tuple()} (first on line {tiles[tile]})"
+            )
+        tiles[tile] = lineno
     return WangTileSet(tiles)
 
 

@@ -110,11 +110,12 @@ def subwords(w: Word2d, shape: tuple[int, int]) -> set[Word2d]:
     n1, n2 = w.shape
     if a < 1 or b < 1:
         raise ValueError("subword shape components must be >= 1")
-    out: set[Word2d] = set()
-    for x in range(n1 - a + 1):
-        for y in range(n2 - b + 1):
-            out.add(Word2d(tuple(w.columns[x + i][y : y + b] for i in range(a))))
-    return out
+    windows = {
+        tuple(col[y : y + b] for col in w.columns[x : x + a])
+        for x in range(n1 - a + 1)
+        for y in range(n2 - b + 1)
+    }
+    return set(map(Word2d, windows))
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ lazily, on the first query for a tile set.
 Surroundings are answered one pattern at a time through a memo kept per
 tile set: for each domino or block, the largest radius known to survive and
 the smallest known to fail.  Surroundings are monotone in the radius, so a
-question at radius r solves only the radii still unknown, lowest first, and
+question the bounds leave open costs one search at the radius asked, and
 callers such as the marker checks ask only about the pairs their answer
 depends on.  The memo is filled by those searches and by harvested patches:
-a valid patch is a surrounding witness for every domino and block inside it,
-at the largest radius whose window fits in the patch.
+a valid patch is a surrounding witness for every 2x2 block inside it, at
+the largest radius whose window fits in the patch.
 """
 
 from __future__ import annotations
@@ -445,27 +445,26 @@ def domino(i: int, j: int, direction: int) -> Word2d:
 def _survives(
     T: WangTileSet, known: dict[Word2d, tuple[int, Optional[int]]], pattern: Word2d, radius: int
 ) -> bool:
-    """pattern_has_surrounding through the memo: only the radii between the
-    known bounds are solved, lowest first, and the first failure is final."""
+    """pattern_has_surrounding through the memo: a radius the known bounds
+    leave open is solved once, at that radius, and its answer moves one bound."""
     alive, dead = known.get(pattern, (-1, None))
     if radius <= alive:
         return True
     if dead is not None and radius >= dead:
         return False
-    for r in range(alive + 1, radius + 1):
-        if not pattern_has_surrounding(T, pattern, r):
-            known[pattern] = (r - 1, r)
-            return False
-    known[pattern] = (radius, dead)
-    return True
+    if pattern_has_surrounding(T, pattern, radius):
+        known[pattern] = (radius, dead)
+        return True
+    known[pattern] = (alive, radius)
+    return False
 
 
 def harvest(T: WangTileSet, patch: Word2d) -> None:
-    """Record the dominoes and 2x2 blocks of a valid patch as surviving.
+    """Record the 2x2 blocks of a valid patch as surviving.
 
-    A pattern of shape (a, b) at (x, y) in a W x H patch survives at radius
-    min(x//a, (W-x-a)//a, y//b, (H-y-b)//b): the window of that surrounding
-    lies inside the patch.  Each pattern's known radius is raised to the best
+    A block at (x, y) in a W x H patch survives at radius
+    min(x//2, (W-x-2)//2, y//2, (H-y-2)//2): the window of that surrounding
+    lies inside the patch.  Each block's known radius is raised to the best
     such radius of 1 or more; an invalid patch records nothing.
     """
     if not is_valid_pattern(T, patch):
@@ -473,20 +472,19 @@ def harvest(T: WangTileSet, patch: Word2d) -> None:
     known = _tables(T).known
     columns = patch.columns
     width, height = patch.shape
-    for a, b in ((2, 1), (1, 2), (2, 2)):
-        best: dict[tuple[tuple[int, ...], ...], int] = {}
-        for x in range(a, width - 2 * a + 1):
-            rx = min(x // a, (width - x - a) // a)
-            for y in range(b, height - 2 * b + 1):
-                r = min(rx, y // b, (height - y - b) // b)
-                key = tuple(col[y : y + b] for col in columns[x : x + a])
-                if r > best.get(key, 0):
-                    best[key] = r
-        for key, r in best.items():
-            pattern = Word2d(key)
-            alive, dead = known.get(pattern, (-1, None))
-            if r > alive:
-                known[pattern] = (r, dead)
+    best: dict[tuple[tuple[int, ...], ...], int] = {}
+    for x in range(2, width - 3):
+        rx = min(x // 2, (width - x - 2) // 2)
+        for y in range(2, height - 3):
+            r = min(rx, y // 2, (height - y - 2) // 2)
+            key = (columns[x][y : y + 2], columns[x + 1][y : y + 2])
+            if r > best.get(key, 0):
+                best[key] = r
+    for key, r in best.items():
+        pattern = Word2d(key)
+        alive, dead = known.get(pattern, (-1, None))
+        if r > alive:
+            known[pattern] = (r, dead)
 
 
 def known_to_survive(T: WangTileSet, pattern: Word2d, radius: int) -> bool:

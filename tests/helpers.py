@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from typing import Optional
 
 from wangtiles import spectral
@@ -39,3 +41,23 @@ def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[lis
     d, x = kernel
     den = GoldenRational.of(d)
     return [GoldenRational.of(g) / den for g in x]
+
+
+class DeadlineExpired(Exception):
+    pass
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise DeadlineExpired in the block once the seconds have passed."""
+
+    def expire(signum, frame):
+        raise DeadlineExpired(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

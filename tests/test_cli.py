@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,26 @@ class TestDominoes:
         assert code == 2
         assert out == ""
         assert "radius" in err
+
+    def test_huge_radius_is_refused_at_once(self):
+        # One solve at the radius asked: its 200001 x 400002 rectangle cannot
+        # be allocated, so the command exits 2 at once instead of solving
+        # every radius below it.  The address-space cap makes the allocation
+        # fail the same way whatever the host's overcommit policy.
+        cap = 2 << 30
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "wangtiles.cli", "dominoes", "U", "--dir", "2",
+             "--radius", "100000"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: MemoryError\n"
 
 
 class TestPatterns:

@@ -20,7 +20,7 @@ from wangtiles.core import (
 )
 from wangtiles.corpus import HORIZONTAL_RELABEL, VERTICAL_RELABEL, builtin
 
-from helpers import relabel
+from helpers import deadline, relabel
 
 
 def _bijection(pairs):
@@ -75,6 +75,16 @@ class TestParsing:
     def test_duplicate_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_tileset("F O J O\nF O H L\nF O J O\n")
+
+    def test_duplicate_names_first_line(self):
+        with pytest.raises(ParseError, match=r"line 4: duplicate tile .* \(first on line 2\)"):
+            parse_tileset("F O J O\nF O H L\n\nF O H L\n")
+
+    # Each tile is checked against the ones before it by hash, not by a scan.
+    def test_many_distinct_tiles_parse_in_linear_time(self):
+        text = "".join(f"r{i} t{i} l{i} b{i}\n" for i in range(10_000))
+        with deadline(3):
+            assert len(parse_tileset(text)) == 10_000
 
     def test_u_color_alphabets(self):
         assert U.vertical_colors == frozenset("ABCDEFGHIJ")

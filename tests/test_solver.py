@@ -466,7 +466,8 @@ class TestSurroundings:
 
     @pytest.mark.parametrize("T, direction, top", [(U, 2, 3), (U, 1, 3), (V, 1, 2), (V, 2, 2)])
     def test_memoized_layer_matches_from_scratch(self, T, direction, top):
-        # Cold cache, highest radius first: the lower radii are filled on the way.
+        # Cold cache, highest radius first: each lower radius is asked afresh of
+        # the patterns whose bounds do not already answer it.
         _tables.cache_clear()
         layered = {r: dominoes_with_surrounding(T, direction, r) for r in range(top, -1, -1)}
         for r, got in layered.items():
@@ -504,6 +505,23 @@ class TestSurroundings:
             # Each (pattern, radius) is solved at most once from a cold memo.
             assert len(solved) == len(set(solved))
 
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_cold_domino_query_solves_once_per_pair(self, monkeypatch, radius):
+        # 79 color-matching vertical pairs in U, each solved at the asked
+        # radius alone, never at the radii below it.
+        solved = []
+        real = solve_rectangle
+
+        def counted(T, width, height, pins=None, mode="exists"):
+            solved.append((width, height))
+            return real(T, width, height, pins, mode)
+
+        monkeypatch.setattr("wangtiles.solver.solve_rectangle", counted)
+        _tables.cache_clear()
+        dominoes_with_surrounding(U, 2, radius)
+        side = 1 + 2 * radius
+        assert solved == [(side, 2 * side)] * 79
+
     def test_returned_domino_list_is_a_copy(self):
         first = dominoes_with_surrounding(U, 2, 2)
         snapshot = list(first)
@@ -536,22 +554,21 @@ def grid_patch(width, height):
 
 
 def fitting_radii(patch):
-    """Each domino and block of the patch with the largest radius whose
-    surrounding rectangle lies inside the patch, by direct containment."""
+    """Each 2x2 block of the patch with the largest radius whose surrounding
+    rectangle lies inside the patch, by direct containment."""
     width, height = patch.shape
-    for a, b in ((2, 1), (1, 2), (2, 2)):
-        for x in range(width - a + 1):
-            for y in range(height - b + 1):
-                r = 0
-                while (
-                    x - a * (r + 1) >= 0
-                    and x + a + a * (r + 1) <= width
-                    and y - b * (r + 1) >= 0
-                    and y + b + b * (r + 1) <= height
-                ):
-                    r += 1
-                cols = patch.columns[x : x + a]
-                yield Word2d(tuple(c[y : y + b] for c in cols)), r
+    for x in range(width - 1):
+        for y in range(height - 1):
+            r = 0
+            while (
+                x - 2 * (r + 1) >= 0
+                and x + 2 + 2 * (r + 1) <= width
+                and y - 2 * (r + 1) >= 0
+                and y + 2 + 2 * (r + 1) <= height
+            ):
+                r += 1
+            cols = patch.columns[x : x + 2]
+            yield Word2d(tuple(c[y : y + 2] for c in cols)), r
 
 
 GRID = grid_tileset(6, 6)
@@ -565,9 +582,9 @@ class TestHarvest:
         assert is_valid_pattern(GRID, GRID_PATCH)
         harvest(GRID, GRID_PATCH)
         known = _tables(GRID).known
-        assert known[GRID_CENTER] == (1, None)
-        assert Word2d(((0, 1), (6, 7))) not in known  # the corner block
-        assert Word2d(((0,), (6,))) not in known  # a domino on the border
+        # The corner blocks fit no ring, and no domino is recorded: only the
+        # minimality step reads harvested facts, and only of 2x2 blocks.
+        assert known == {GRID_CENTER: (1, None)}
 
     # 10 x 13 has radius-2 windows, and its sides differ, so a margin off by
     # one or a swapped axis changes some recorded radius.
@@ -594,9 +611,9 @@ class TestHarvest:
     def test_raises_but_never_lowers_a_known_radius(self):
         _tables.cache_clear()
         known = _tables(GRID).known
-        side = Word2d(((13,), (19,)))  # the horizontal domino at (2, 1), witnessed at 1
-        known[GRID_CENTER] = (2, 3)
-        known[side] = (0, 2)
+        known[GRID_CENTER] = (2, 3)  # the patch witnesses it at radius 1
         harvest(GRID, GRID_PATCH)
         assert known[GRID_CENTER] == (2, 3)
-        assert known[side] == (1, 2)
+        known[GRID_CENTER] = (0, 2)
+        harvest(GRID, GRID_PATCH)
+        assert known[GRID_CENTER] == (1, 2)
