@@ -22,11 +22,11 @@ start is already arc-consistent, so the queue starts at the pinned cells
 and a free rectangle needs no propagation at all; otherwise it starts with
 every cell.  Either way the fixpoint is the same.
 
-The unions are table-driven: for each adjacency direction and each 8-bit
-chunk of a candidate mask, a table of up to 256 entries holds the union of
-the neighbor masks of every subset of the tiles in that chunk, so a union
-over any candidate set costs one lookup per chunk.  The tables are built
-lazily, on the first query for a tile set.
+The unions are memoized: for each adjacency direction, a dict per tile set
+maps a candidate mask to the union of its tiles' neighbor masks, and fills
+an entry the first time that mask is asked for.  Propagation meets few
+distinct masks, so a revision is one dict lookup and a fresh tile set pays
+only for the masks it uses.
 
 Surroundings are answered one pattern at a time through a memo kept per
 tile set: for each domino or block, the largest radius known to survive and
@@ -35,7 +35,8 @@ question the bounds leave open costs one search at the radius asked, and
 callers such as the marker checks ask only about the pairs their answer
 depends on.  The memo is filled by those searches and by harvested patches:
 a valid patch is a surrounding witness for every 2x2 block inside it, at
-the largest radius whose window fits in the patch.
+the largest radius whose window fits in the patch.  The valid patterns of
+a shape are enumerated once per tile set and filtered at each radius asked.
 """
 
 from __future__ import annotations
@@ -84,44 +85,51 @@ def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
     return next(violations(T, w), None) is None
 
 
+class _Union(dict):
+    """Candidate mask -> union of the per-tile neighbor masks of its tiles,
+    each entry computed the first time its mask is asked for."""
+
+    __slots__ = ("per_tile",)
+
+    def __init__(self, per_tile: tuple[int, ...]):
+        super().__init__()
+        self.per_tile = per_tile
+
+    def __missing__(self, over: int) -> int:
+        acc = 0
+        rest = over
+        while rest:
+            low = rest & -rest
+            acc |= self.per_tile[low.bit_length() - 1]
+            rest ^= low
+        self[over] = acc
+        return acc
+
+
 @dataclass(frozen=True)
 class _Tables:
-    """Per-tile-set adjacency bitmasks and surrounding memo, built once per tile set."""
+    """Per-tile-set adjacency bitmasks and memos, built once per tile set."""
 
     full: int
     # Every tile has a partner on each of its four sides, so the all-tiles
     # start is arc-consistent and propagation starts at the pins alone.
     partnered: bool
-    right_succ: tuple[int, ...]   # tiles that may sit east of t
-    left_pred: tuple[int, ...]    # tiles that may sit west of t
-    top_succ: tuple[int, ...]     # tiles that may sit north of t
-    bottom_pred: tuple[int, ...]  # tiles that may sit south of t
-    # One lookup table per 8-bit chunk of a candidate mask (256 entries, fewer
-    # for a short last chunk): entry b of chunk k is the union of the masks of
-    # the tiles 8k + i for the set bits i of b.
-    right_chunks: tuple[tuple[int, ...], ...]
-    left_chunks: tuple[tuple[int, ...], ...]
-    top_chunks: tuple[tuple[int, ...], ...]
-    bottom_chunks: tuple[tuple[int, ...], ...]
+    # The tiles that may sit east, west, north and south of each tile t
+    # (per_tile[t]), and their unions over candidate masks.
+    right: _Union = field(compare=False)
+    left: _Union = field(compare=False)
+    top: _Union = field(compare=False)
+    bottom: _Union = field(compare=False)
     # Pattern -> (largest radius known to survive, smallest radius known to
     # fail or None); filled by the surrounding queries and by harvest(),
     # shared on purpose.
     known: dict[Word2d, tuple[int, Optional[int]]] = field(default_factory=dict, compare=False)
+    # Shape -> every valid pattern of that shape, sorted by column tuples.
+    patterns: dict[tuple[int, int], list[Word2d]] = field(default_factory=dict, compare=False)
 
 
-def _chunk_tables(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    chunks = []
-    for base in range(0, len(masks), 8):
-        tab = [0] * (1 << min(8, len(masks) - base))
-        for b in range(1, len(tab)):
-            tab[b] = tab[b & (b - 1)] | masks[base + (b & -b).bit_length() - 1]
-        chunks.append(tuple(tab))
-    return tuple(chunks)
-
-
-# Small on purpose: the chunk tables take tens of kilobytes per tile set, the
-# memo grows with every query, and every fresh relabeling of a tile set gets
-# its own entry.
+# Small on purpose: the memos grow with every query, and every fresh
+# relabeling of a tile set gets its own entry.
 @lru_cache(maxsize=8)
 def _tables(T: WangTileSet) -> _Tables:
     by_left: dict[str, int] = {}
@@ -140,26 +148,11 @@ def _tables(T: WangTileSet) -> _Tables:
     return _Tables(
         full=(1 << len(T)) - 1,
         partnered=all(map(all, (right_succ, left_pred, top_succ, bottom_pred))),
-        right_succ=right_succ,
-        left_pred=left_pred,
-        top_succ=top_succ,
-        bottom_pred=bottom_pred,
-        right_chunks=_chunk_tables(right_succ),
-        left_chunks=_chunk_tables(left_pred),
-        top_chunks=_chunk_tables(top_succ),
-        bottom_chunks=_chunk_tables(bottom_pred),
+        right=_Union(right_succ),
+        left=_Union(left_pred),
+        top=_Union(top_succ),
+        bottom=_Union(bottom_pred),
     )
-
-
-def _union(chunks: tuple[tuple[int, ...], ...], over: int) -> int:
-    """Union of the per-tile masks over the tiles set in ``over``."""
-    acc = 0
-    for tab in chunks:
-        if not over:
-            break
-        acc |= tab[over & 0xFF]
-        over >>= 8
-    return acc
 
 
 def _propagate(
@@ -173,7 +166,7 @@ def _propagate(
     must hold every cell that some neighbor is not yet consistent with.
     False when some cell empties.
     """
-    right, left, top, bottom = tb.right_chunks, tb.left_chunks, tb.top_chunks, tb.bottom_chunks
+    right, left, top, bottom = tb.right, tb.left, tb.top, tb.bottom
     pending = set(changed)
     last_row = width * (height - 1)
     while pending:
@@ -182,7 +175,7 @@ def _propagate(
         x = c % width
         if x + 1 < width:
             old = masks[c + 1]
-            new = old & _union(right, m)
+            new = old & right[m]
             if new != old:
                 if not new:
                     return False
@@ -190,7 +183,7 @@ def _propagate(
                 pending.add(c + 1)
         if x:
             old = masks[c - 1]
-            new = old & _union(left, m)
+            new = old & left[m]
             if new != old:
                 if not new:
                     return False
@@ -198,7 +191,7 @@ def _propagate(
                 pending.add(c - 1)
         if c < last_row:
             old = masks[c + width]
-            new = old & _union(top, m)
+            new = old & top[m]
             if new != old:
                 if not new:
                     return False
@@ -206,7 +199,7 @@ def _propagate(
                 pending.add(c + width)
         if c >= width:
             old = masks[c - width]
-            new = old & _union(bottom, m)
+            new = old & bottom[m]
             if new != old:
                 if not new:
                     return False
@@ -310,13 +303,13 @@ def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterat
         x, y = idx % width, idx // width
         nbs = []
         if x + 1 < width:
-            nbs.append((idx + 1, tb.right_succ))
+            nbs.append((idx + 1, tb.right.per_tile))
         if x > 0:
-            nbs.append((idx - 1, tb.left_pred))
+            nbs.append((idx - 1, tb.left.per_tile))
         if y + 1 < height:
-            nbs.append((idx + width, tb.top_succ))
+            nbs.append((idx + width, tb.top.per_tile))
         if y > 0:
-            nbs.append((idx - width, tb.bottom_pred))
+            nbs.append((idx - width, tb.bottom.per_tile))
         neighbors.append(nbs)
 
     def most_constrained() -> int:
@@ -535,13 +528,15 @@ def patterns_with_surrounding(
     T: WangTileSet, shape: tuple[int, int], radius: int
 ) -> list[Word2d]:
     """All internally valid patterns of the shape admitting a radius-r
-    surrounding, sorted by their column tuples."""
+    surrounding, sorted by their column tuples, in a fresh list.  The valid
+    patterns of a shape are enumerated once per tile set."""
     w, h = shape
     if w < 1 or h < 1:
         raise ValueError("shape components must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    known = _tables(T).known
-    return sorted(
-        p for p in solve_rectangle(T, w, h, None, "enumerate") if _survives(T, known, p, radius)
-    )
+    tb = _tables(T)
+    candidates = tb.patterns.get((w, h))
+    if candidates is None:
+        candidates = tb.patterns[w, h] = sorted(solve_rectangle(T, w, h, None, "enumerate"))
+    return [p for p in candidates if _survives(T, tb.known, p, radius)]

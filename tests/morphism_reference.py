@@ -3,10 +3,10 @@ references for tests.
 
 These are the earlier library versions: apply() reads every cell's image
 shape, iterate() remembers every word met at one shape and skips whole
-periods once one repeats, and factors_2x2() re-applies every letter's word in
-lockstep until each covers a 2x2 block or stops changing.  The last two can
-use memory without bound, so the tests run them only on small inputs and
-under a cell guard.
+periods once one repeats, and factors_2x2() applies each letter's word
+until it covers a 2x2 block or provably never will.  The last two can use
+memory without bound, so the tests run them only on small inputs and under a
+cell guard.
 """
 
 from __future__ import annotations
@@ -71,10 +71,15 @@ def reference_iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
 
 
 def reference_factors_2x2(m: Morphism2d, max_cells: int) -> set[Word2d]:
-    """2x2 factor closure by lockstep iteration of every letter's word.
+    """2x2 factor closure from each letter's first iterate with both sides >= 2.
 
-    Raises TooManyCells when a word over max_cells cells would be applied,
-    and RuntimeError after CLOSURE_CAP rounds of either phase.
+    A word with a side of 1 is applied until both sides are >= 2 or until
+    its letter set and its sides of 1 repeat: the next letter set is the
+    letters of their images, and a side of 1 stays 1 exactly when every
+    letter's image has that side 1, so from a repeat on the word stays
+    narrow for good.  Raises TooManyCells when a word over max_cells cells
+    would be applied, and RuntimeError after CLOSURE_CAP rounds of the
+    closure.
     """
 
     def guarded(w: Word2d) -> Word2d:
@@ -82,20 +87,19 @@ def reference_factors_2x2(m: Morphism2d, max_cells: int) -> set[Word2d]:
             raise TooManyCells(f"{w.shape[0]}x{w.shape[1]}")
         return apply(m, w)
 
-    words = [Word2d.letter(a) for a in range(len(m.domain))]
     collected: set[Word2d] = set()
-    if all(im.shape[1] == 1 for im in m.images) or all(im.shape[0] == 1 for im in m.images):
-        return collected  # growth confined to one axis: no 2x2 word ever occurs
-    for _ in range(CLOSURE_CAP):
-        new_words = [guarded(w) for w in words]
-        for w in new_words:
-            if min(w.shape) >= 2:
-                collected |= subwords(w, (2, 2))
-        if all(min(w.shape) >= 2 or w == old for w, old in zip(new_words, words)):
-            break
-        words = new_words
-    else:
-        raise RuntimeError(f"factor closure did not stabilize within {CLOSURE_CAP} iterations")
+    for a in range(len(m.domain)):
+        w = Word2d.letter(a)
+        seen: set[tuple[frozenset[int], bool, bool]] = set()
+        while min(w.shape) < 2:
+            state = (frozenset(chain.from_iterable(w.columns)), w.shape[0] == 1, w.shape[1] == 1)
+            if state in seen:
+                break
+            seen.add(state)
+            w = guarded(w)
+        else:
+            # Later iterates' factors come from the closure below.
+            collected |= subwords(w, (2, 2))
     frontier = set(collected)
     for _ in range(CLOSURE_CAP):
         if not frontier:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import or_
 from time import perf_counter
 
@@ -19,7 +19,6 @@ from wangtiles.solver import (
     _propagate,
     _solutions,
     _tables,
-    _union,
     domino,
     dominoes_with_surrounding,
     harvest,
@@ -92,12 +91,12 @@ def per_bit_union(tiles, over, fits):
     )
 
 
-# (chunk tables of a direction, does tile v fit on that side of tile u?)
+# (union memo of a direction, does tile v fit on that side of tile u?)
 DIRECTIONS = [
-    ("right_chunks", lambda u, v: u.right == v.left),
-    ("left_chunks", lambda u, v: u.left == v.right),
-    ("top_chunks", lambda u, v: u.top == v.bottom),
-    ("bottom_chunks", lambda u, v: u.bottom == v.top),
+    ("right", lambda u, v: u.right == v.left),
+    ("left", lambda u, v: u.left == v.right),
+    ("top", lambda u, v: u.top == v.bottom),
+    ("bottom", lambda u, v: u.bottom == v.top),
 ]
 
 
@@ -117,19 +116,24 @@ class TestUnionTables:
         tb = _tables(WangTileSet(tiles))
         over = data.draw(st.integers(0, (1 << size) - 1))
         for attr, fits in DIRECTIONS:
-            assert _union(getattr(tb, attr), over) == per_bit_union(tiles, over, fits)
+            assert getattr(tb, attr)[over] == per_bit_union(tiles, over, fits)
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 24])
-    def test_chunk_boundaries(self, size):
+    def test_memo_fills_only_the_masks_asked_for(self, size):
         # Distinct tiles whose four colors spell the index in base 3.
         tiles = [
             WangTile(*("abc"[k // 3**d % 3] for d in range(4))) for k in range(size)
         ]
-        tb = _tables(WangTileSet(tiles))
-        assert all(len(chunks) == -(-size // 8) for chunks in (tb.right_chunks, tb.top_chunks))
-        for over in [(1 << size) - 1, 1 << (size - 1), 0] + [1 << i for i in range(size)]:
+        T = WangTileSet(tiles)
+        _tables.cache_clear()
+        tb = _tables(T)
+        assert all(len(getattr(tb, attr)) == 0 for attr, _ in DIRECTIONS)
+        asked = {(1 << size) - 1, 1 << (size - 1), 1, 0}
+        for over in sorted(asked) * 2:
             for attr, fits in DIRECTIONS:
-                assert _union(getattr(tb, attr), over) == per_bit_union(tiles, over, fits)
+                assert getattr(tb, attr)[over] == per_bit_union(tiles, over, fits)
+        assert all(set(getattr(tb, attr)) == asked for attr, _ in DIRECTIONS)
+        assert _tables(T) is tb
 
 
 def violations_per_edge(T, w):
@@ -308,22 +312,30 @@ class TestCount:
         assert elapsed < 15
 
 
-def sweep_propagate(masks, width, height, tb):
+@cache
+def cached_per_bit_union(T, over, fits):
+    """per_bit_union over the tiles of T, remembered across sweeps."""
+    return per_bit_union(list(T), over, fits)
+
+
+def sweep_propagate(T, masks, width, height):
     """Reference arc consistency: every cell pending at the start, and each
-    pop re-derives the cell's mask from the unions of all four neighbors."""
+    pop re-derives the cell's mask from the per-bit unions of all four neighbors."""
+    right, left, top, bottom = (fits for _, fits in DIRECTIONS)
+    union = partial(cached_per_bit_union, T)
     pending = set(range(width * height))
     while pending:
         idx = pending.pop()
         x, y = idx % width, idx // width
         m = masks[idx]
         if x > 0:
-            m &= _union(tb.right_chunks, masks[idx - 1])
+            m &= union(masks[idx - 1], right)
         if x + 1 < width:
-            m &= _union(tb.left_chunks, masks[idx + 1])
+            m &= union(masks[idx + 1], left)
         if y > 0:
-            m &= _union(tb.top_chunks, masks[idx - width])
+            m &= union(masks[idx - width], top)
         if y + 1 < height:
-            m &= _union(tb.bottom_chunks, masks[idx + width])
+            m &= union(masks[idx + width], bottom)
         if m == masks[idx]:
             continue
         if m == 0:
@@ -352,7 +364,7 @@ def assert_same_fixpoint(T, width, height, pins):
     masks, changed = _initial_masks(width, height, pins, tb)
     reference = list(masks)
     consistent = _propagate(masks, width, height, tb, changed)
-    assert consistent == sweep_propagate(reference, width, height, tb)
+    assert consistent == sweep_propagate(T, reference, width, height)
     if consistent:
         assert masks == reference
 
@@ -530,6 +542,35 @@ class TestSurroundings:
         assert again == snapshot and len(again) == 35
         again.append((99, 99))
         assert dominoes_with_surrounding(U, 2, 2) == snapshot
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_returned_pattern_list_is_a_copy(self, radius):
+        _tables.cache_clear()
+        first = patterns_with_surrounding(U, (2, 2), radius)
+        snapshot = list(first)
+        assert first == sorted(first, key=lambda p: p.columns)
+        first.reverse()
+        first.append(Word2d(((0, 0), (0, 0))))
+        again = patterns_with_surrounding(U, (2, 2), radius)
+        assert again == snapshot
+        again.clear()
+        assert patterns_with_surrounding(U, (2, 2), radius) == snapshot
+
+    def test_patterns_are_enumerated_once_per_shape(self, monkeypatch):
+        enumerated = []
+        real = solve_rectangle
+
+        def counted(T, width, height, pins=None, mode="exists"):
+            if mode == "enumerate":
+                enumerated.append((width, height))
+            return real(T, width, height, pins, mode)
+
+        monkeypatch.setattr("wangtiles.solver.solve_rectangle", counted)
+        _tables.cache_clear()
+        for r in (1, 0, 2, 1):
+            patterns_with_surrounding(U, (2, 2), r)
+            patterns_with_surrounding(U, (1, 2), r)
+        assert enumerated == [(2, 2), (1, 2)]
 
     def test_determinism(self):
         assert dominoes_with_surrounding(U, 2, 1) == dominoes_with_surrounding(U, 2, 1)
