@@ -84,7 +84,7 @@ class Word2d:
         return self.columns[x][y]
 
     def letters(self) -> set[int]:
-        return {a for col in self.columns for a in col}
+        return set().union(*self.columns)
 
     def __repr__(self) -> str:
         return f"Word2d({[list(c) for c in self.columns]})"

@@ -5,9 +5,12 @@ bytes.  Patterns are drawn in Cartesian orientation (row 0 at the bottom).
 Invalid patterns are still rendered, with the offending edges marked.
 
 Each call formats what depends only on a column, a row or a tile once:
-coordinates per column and per row, colors and tokens per tile.  The loop
-over cells only joins those strings, so a large inflation patch costs little
-more than its output.  Nothing is cached across calls.
+coordinates per column and per row, each with the separators around it, and
+per tile its fills, label and tokens with the fixed text that follows them.
+A cell is then one f-string over those pieces, and the document one join
+whose last item already ends in the closing tag and newline, so a large
+inflation patch costs little more than its output.  Nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ def _center(s: str, width: int, fill: str) -> str:
     return fill * (pad // 2) + s + fill * (pad - pad // 2)
 
 
+def _check_labels(labels: str) -> None:
+    if labels not in ("index", "colors"):
+        raise ValueError(f"unknown labels {labels!r}")
+
+
 def render_text(
     T: WangTileSet,
     pattern: Word2d,
@@ -65,6 +73,7 @@ def render_text(
     Horizontal edge colors sit in the horizontal border lines, vertical edge
     colors in the cell rows.  A mismatched shared edge is marked with ``X``.
     """
+    _check_labels(labels)
     n1, n2 = pattern.shape
     rows = list(zip(*pattern.columns))
     # For each row y, the columns x whose edge below or to the west is a mismatch.
@@ -89,58 +98,59 @@ def render_text(
     bw = max(max(len(s) for toks in tokens.values() for s in toks), 1)  # vertical border slots
     cw = max(bw, max(len(s) for s in names.values())) + 2
 
-    # Per tile: its centered top and bottom colors, label and west separator.
+    # Per tile: its centered top and bottom colors, its label, and its west
+    # separator followed by its label, the text between two labels' starts.
     top = {t: _center(tokens[t][1], cw, hbar) for t in letters}
     bottom = {t: _center(tokens[t][3], cw, hbar) for t in letters}
     label = {t: _center(names[t], cw, " ") for t in letters}
-    west = {t: _center(tokens[t][2], bw, " ") for t in letters}
+    body = {t: _center(tokens[t][2], bw, " ") + label[t] for t in letters}
     mark_h, mark_v = _center("X", cw, hbar), _center("X", bw, " ")
+    end = hbar * (bw - 1)
 
     def border_line(y: int) -> str:
         if y == n2:
-            cells = [top[t] for t in rows[n2 - 1]]
+            cells = list(map(top.__getitem__, rows[n2 - 1]))
             left, mid, right = tl, tm, tr
         else:
-            cells = [bottom[t] for t in rows[y]]
+            cells = list(map(bottom.__getitem__, rows[y]))
             for x in bad_below[y]:
                 cells[x] = mark_h
             left, mid, right = (bl, bm, br) if y == 0 else (lm, mm, rm)
-        joiner = _center(mid, bw, hbar)
-        return left + hbar * (bw - 1) + joiner.join(cells) + hbar * (bw - 1) + right
+        return left + end + _center(mid, bw, hbar).join(cells) + end + right
 
     def body_line(y: int) -> str:
         row = rows[y]
-        seps = [west[t] for t in row[1:]]  # seps[x - 1] lies between columns x - 1 and x
+        cells = list(map(body.__getitem__, row))  # cells[0] is replaced by the west border
+        cells[0] = tokens[row[0]][2].ljust(bw) + label[row[0]]
         for x in bad_west[y]:
-            seps[x - 1] = mark_v
-        return (
-            tokens[row[0]][2].ljust(bw)
-            + "".join(label[t] + sep for t, sep in zip(row, seps))
-            + label[row[-1]]
-            + tokens[row[-1]][0].rjust(bw)
-        )
+            cells[x] = mark_v + label[row[x]]
+        cells.append(tokens[row[-1]][0].rjust(bw))
+        return "".join(cells)
 
     lines = []
-    for y in range(n2, -1, -1):
+    for y in range(n2, 0, -1):
         lines.append(border_line(y))
-        if y > 0:
-            lines.append(body_line(y - 1))
-    return "\n".join(lines) + "\n"
+        lines.append(body_line(y - 1))
+    lines.append(border_line(0) + "\n")
+    return "\n".join(lines)
 
 
-def _palette_for(T: WangTileSet, pattern: Word2d) -> dict[str, str]:
-    tokens = sorted({c for t in pattern.letters() for c in T[t].as_tuple()})
+def _palette_for(T: WangTileSet, letters: set[int]) -> dict[str, str]:
+    tokens = sorted({c for t in letters for c in T[t].as_tuple()})
     return {tok: _PALETTE[i % len(_PALETTE)] for i, tok in enumerate(tokens)}
 
 
 def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """SVG 1.1 document; each cell shows four colored edge triangles.
 
-    Every coordinate depends only on a cell's column or its row, so each is
-    formatted once per column or row and cells only join those strings.
+    Every coordinate depends only on a cell's column or its row, and every
+    fill and label only on its tile, so each is formatted once per column,
+    row or tile, and a cell is one f-string that interleaves them.
     """
+    _check_labels(labels)
     n1, n2 = pattern.shape
-    colors = _palette_for(T, pattern)
+    letters = pattern.letters()
+    colors = _palette_for(T, letters)
     s = SVG_CELL
     W, H = n1 * s, n2 * s
     out = [
@@ -152,39 +162,62 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     # (left to right) and each row (top of the row down).
     xs = [_svg_span(x * s, s) for x in range(n1)]
     ys = [_svg_span((n2 - 1 - y) * s, s) for y in range(n2)]
+    # A cell alternates pieces fixed per column, per row and per tile.  What
+    # follows each edge triangle's last point depends only on the tile: its
+    # fill, then the next triangle or, after the bottom one, the outline.
     fills = {}
-    for a in pattern.letters():
-        t = T[a]
-        fills[a] = (colors[t.right], colors[t.top], colors[t.left], colors[t.bottom])
+    for a in letters:
+        right, top, left, bottom = (colors[c] for c in T[a].as_tuple())
+        fills[a] = (
+            f'" fill="{right}" stroke="none"/>\n<polygon points="',
+            f'" fill="{top}" stroke="none"/>\n<polygon points="',
+            f'" fill="{left}" stroke="none"/>\n<polygon points="',
+            f'" fill="{bottom}" stroke="none"/>\n<rect x="',
+        )
     size, centered = _fmt(s), 'text-anchor="middle" dominant-baseline="middle"'
+    outline = f'" width="{size}" height="{size}" fill="none" stroke="black" stroke-width="1"/>\n<text x="'
     if labels == "index":
         label_size = _fmt(s / 4)
+        tails = {a: (*fills[a], f'" font-size="{label_size}" {centered}>{a}</text>') for a in letters}
+        for column, (x0, x1, cx, _, _) in zip(pattern.columns, xs):
+            # The column's coordinates with the separators around them.
+            first, cx_, x1_, x0_ = f'<polygon points="{x1},', f' {cx},', f' {x1},', f' {x0},'
+            x0c, at, mid = f'{x0},', f'{x0}" y="', f'{outline}{cx}" y="'
+            out += [
+                f'{first}{y1}{cx_}{cy}{x1_}{y0}{r}'
+                f'{x0c}{y0}{cx_}{cy}{x1_}{y0}{t}'
+                f'{x0c}{y1}{cx_}{cy}{x0_}{y0}{l}'
+                f'{x0c}{y1}{cx_}{cy}{x1_}{y1}{b}'
+                f'{at}{y0}{mid}{cy}{name}'
+                for (r, t, l, b, name), (y0, y1, cy, _, _) in zip(map(tails.__getitem__, column), ys)
+            ]
     else:
         label_size = _fmt(s / 5)
-        tokens = {
-            a: [display_token(c).translate(_XML_ESCAPES) for c in T[a].as_tuple()] for a in fills
-        }
-    for column, (x0, x1, cx, x85, x15) in zip(pattern.columns, xs):
-        for a, (y0, y1, cy, y85, y15) in zip(column, ys):
-            right, top, left, bottom = fills[a]
-            out.append(
-                f'<polygon points="{x1},{y1} {cx},{cy} {x1},{y0}" fill="{right}" stroke="none"/>\n'
-                f'<polygon points="{x0},{y0} {cx},{cy} {x1},{y0}" fill="{top}" stroke="none"/>\n'
-                f'<polygon points="{x0},{y1} {cx},{cy} {x0},{y0}" fill="{left}" stroke="none"/>\n'
-                f'<polygon points="{x0},{y1} {cx},{cy} {x1},{y1}" fill="{bottom}" stroke="none"/>\n'
-                f'<rect x="{x0}" y="{y0}" width="{size}" height="{size}" '
-                f'fill="none" stroke="black" stroke-width="1"/>'
+        tails = {}
+        for a in letters:
+            right, top, left, bottom = (
+                display_token(c).translate(_XML_ESCAPES) for c in T[a].as_tuple()
             )
-            if labels == "index":
-                out.append(f'<text x="{cx}" y="{cy}" font-size="{label_size}" {centered}>{a}</text>')
-            else:
-                right, top, left, bottom = tokens[a]
-                out.append(
-                    f'<text x="{x85}" y="{cy}" font-size="{label_size}" {centered}>{right}</text>\n'
-                    f'<text x="{cx}" y="{y15}" font-size="{label_size}" {centered}>{top}</text>\n'
-                    f'<text x="{x15}" y="{cy}" font-size="{label_size}" {centered}>{left}</text>\n'
-                    f'<text x="{cx}" y="{y85}" font-size="{label_size}" {centered}>{bottom}</text>'
-                )
+            tails[a] = (
+                *fills[a],
+                f'" font-size="{label_size}" {centered}>{right}</text>\n<text x="',
+                f'" font-size="{label_size}" {centered}>{top}</text>\n<text x="',
+                f'" font-size="{label_size}" {centered}>{left}</text>\n<text x="',
+                f'" font-size="{label_size}" {centered}>{bottom}</text>',
+            )
+        for column, (x0, x1, cx, x85, x15) in zip(pattern.columns, xs):
+            first, cx_, x1_, x0_ = f'<polygon points="{x1},', f' {cx},', f' {x1},', f' {x0},'
+            x0c, at, mid = f'{x0},', f'{x0}" y="', f'{outline}{x85}" y="'
+            cx_at, x15_at = f'{cx}" y="', f'{x15}" y="'
+            out += [
+                f'{first}{y1}{cx_}{cy}{x1_}{y0}{r}'
+                f'{x0c}{y0}{cx_}{cy}{x1_}{y0}{t}'
+                f'{x0c}{y1}{cx_}{cy}{x0_}{y0}{l}'
+                f'{x0c}{y1}{cx_}{cy}{x1_}{y1}{b}'
+                f'{at}{y0}{mid}{cy}{tr}{cx_at}{y15}{tt}{x15_at}{cy}{tl}{cx_at}{y85}{tb}'
+                for (r, t, l, b, tr, tt, tl, tb), (y0, y1, cy, y85, y15)
+                in zip(map(tails.__getitem__, column), ys)
+            ]
     for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
         if x2c == x1c + 1:  # shared vertical edge
             ex, ey1, ey2 = x2c * s, (n2 - 1 - y1c) * s, (n2 - y1c) * s
@@ -198,8 +231,8 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
                 f'<line x1="{_fmt(x1c * s)}" y1="{_fmt(ey)}" x2="{_fmt((x1c + 1) * s)}" '
                 f'y2="{_fmt(ey)}" stroke="red" stroke-width="4"/>'
             )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)
 
 
 def _svg_span(v0: float, s: float) -> tuple[str, str, str, str, str]:
@@ -209,17 +242,18 @@ def _svg_span(v0: float, s: float) -> tuple[str, str, str, str, str]:
 
 def render_tikz(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """Standalone tikzpicture with one unit square per cell."""
+    _check_labels(labels)
     n1, n2 = pattern.shape
     out = ["\\begin{tikzpicture}[scale=1.0]", "\\tikzstyle{every node}=[font=\\tiny]"]
-    out.extend(_tikz_cells(T, pattern, [_tikz_span(x) for x in range(n1)],
-                           [_tikz_span(y) for y in range(n2)], labels == "index"))
+    out += _tikz_cells(T, pattern, [_tikz_span(x) for x in range(n1)],
+                       [_tikz_span(y) for y in range(n2)], labels == "index")
     for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
         if x2c == x1c + 1:
             out.append(f"\\draw[red, very thick] ({x2c}, {y1c}) -- ({x2c}, {y1c + 1});")
         else:
             out.append(f"\\draw[red, very thick] ({x1c}, {y2c}) -- ({x1c + 1}, {y2c});")
-    out.append("\\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+    out.append("\\end{tikzpicture}\n")
+    return "\n".join(out)
 
 
 def render(
@@ -229,8 +263,6 @@ def render(
     labels: str = "index",
     ascii_only: bool = False,
 ) -> str:
-    if labels not in ("index", "colors"):
-        raise ValueError(f"unknown labels {labels!r}")
     if format == "text":
         return render_text(T, pattern, labels, ascii_only)
     if format == "svg":
@@ -257,24 +289,39 @@ def _tikz_cells(
     ys: list[tuple[str, ...]],
     index: bool,
 ) -> list[str]:
-    """A rectangle and its four edge colors per cell, from formatted column and row spans."""
-    tokens = {
-        a: [display_token(c).translate(_TEX_ESCAPES) for c in T[a].as_tuple()]
-        for a in pattern.letters()
-    }
-    out = []
+    """A rectangle and its four edge colors per cell, from formatted column and row spans.
+
+    Each cell is one string.  What follows a node's coordinates depends only
+    on the tile: its escaped token, and the start of the next node.
+    """
+    tails = {}
+    for a in pattern.letters():
+        right, top, left, bottom = (
+            display_token(c).translate(_TEX_ESCAPES) for c in T[a].as_tuple()
+        )
+        tails[a] = (
+            f") {{{a}}};\n\\node at (",
+            f") {{{right}}};\n\\node at (",
+            f") {{{top}}};\n\\node at (",
+            f") {{{left}}};\n\\node at (",
+            f") {{{bottom}}};",
+        )
+    out: list[str] = []
     for column, (x0, x1, cx, x8, x2) in zip(pattern.columns, xs):
-        for a, (y0, y1, cy, y8, y2) in zip(column, ys):
-            right, top, left, bottom = tokens[a]
-            out.append(f"\\draw ({x0}, {y0}) rectangle ({x1}, {y1});")
-            if index:
-                out.append(f"\\node at ({cx}, {cy}) {{{a}}};")
-            out.append(
-                f"\\node at ({x8}, {cy}) {{{right}}};\n"
-                f"\\node at ({cx}, {y8}) {{{top}}};\n"
-                f"\\node at ({x2}, {cy}) {{{left}}};\n"
-                f"\\node at ({cx}, {y2}) {{{bottom}}};"
-            )
+        # The column's coordinates, each with the text up to the next row coordinate.
+        draw, rect, cxc, x8c, x2c = f"\\draw ({x0}, ", f") rectangle ({x1}, ", f"{cx}, ", f"{x8}, ", f"{x2}, "
+        if index:
+            node = f");\n\\node at ({cx}, "
+            out += [
+                f"{draw}{y0}{rect}{y1}{node}{cy}{name}{x8c}{cy}{r}{cxc}{y8}{t}{x2c}{cy}{l}{cxc}{y2}{b}"
+                for (name, r, t, l, b), (y0, y1, cy, y8, y2) in zip(map(tails.__getitem__, column), ys)
+            ]
+        else:
+            node = f");\n\\node at ({x8}, "
+            out += [
+                f"{draw}{y0}{rect}{y1}{node}{cy}{r}{cxc}{y8}{t}{x2c}{cy}{l}{cxc}{y2}{b}"
+                for (_, r, t, l, b), (y0, y1, cy, y8, y2) in zip(map(tails.__getitem__, column), ys)
+            ]
     return out
 
 
@@ -358,6 +405,7 @@ def stone_render(
     produced by inflation; otherwise a GeometryError names the first bad
     cell.
     """
+    _check_labels(labels)
     col_w: list[GoldenNumber] = []
     row_h: list[GoldenNumber] = []
     for x, column in enumerate(pattern.columns):
@@ -393,22 +441,30 @@ def stone_render(
     rows = [((total_h - float(ys[y + 1])) * scale, float(h) * scale) for y, h in enumerate(row_h)]
     col_text = [(_fmt(px), _fmt(pw), _fmt(px + pw / 2), pw) for px, pw in cols]
     row_text = [(_fmt(py), _fmt(ph), _fmt(py + ph / 2), ph) for py, ph in rows]
-    widths, heights = {pw for _, pw in cols}, {ph for _, ph in rows}
-    font = {(pw, ph): _fmt(min(pw, ph) / 3) for pw in widths for ph in heights}
-    for column, (px, pw, cx, w) in zip(pattern.columns, col_text):
-        for a, (py, ph, cy, h) in zip(column, row_text):
-            out.append(
-                f'<rect x="{px}" y="{py}" width="{pw}" '
-                f'height="{ph}" fill="none" stroke="black" stroke-width="1"/>'
-            )
-            if labels == "index":
-                out.append(
-                    f'<text x="{cx}" y="{cy}" '
-                    f'font-size="{font[w, h]}" text-anchor="middle" '
-                    f'dominant-baseline="middle">{a}</text>'
-                )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    rect = '" fill="none" stroke="black" stroke-width="1"/>'
+    if labels == "index":
+        # The font size depends on the column's width and the row's height, so
+        # each row's text attributes are formatted once per column width.
+        widths, heights = {pw for _, pw in cols}, {ph for _, ph in rows}
+        font = {
+            (w, h): f'" font-size="{_fmt(min(w, h) / 3)}" text-anchor="middle" dominant-baseline="middle">'
+            for w in widths for h in heights
+        }
+        row_font = {w: [(py, ph, cy, font[w, h]) for py, ph, cy, h in row_text] for w in widths}
+        names = {a: f"{a}</text>" for a in pattern.letters()}
+        for column, (px, pw, cx, w) in zip(pattern.columns, col_text):
+            at, size, mid = f'<rect x="{px}" y="', f'" width="{pw}" height="', f'{rect}\n<text x="{cx}" y="'
+            out += [
+                f"{at}{py}{size}{ph}{mid}{cy}{attrs}{name}"
+                for name, (py, ph, cy, attrs) in zip(map(names.__getitem__, column), row_font[w])
+            ]
+    else:
+        row_end = [(py, ph + rect) for py, ph, _, _ in row_text]
+        for px, pw, _, _ in col_text:
+            at, size = f'<rect x="{px}" y="', f'" width="{pw}" height="'
+            out += [f"{at}{py}{size}{ph}" for py, ph in row_end]
+    out.append("</svg>\n")
+    return "\n".join(out)
 
 
 def _first_mismatch(sizes: tuple[GoldenNumber, ...], line: tuple[int, ...]) -> Optional[int]:

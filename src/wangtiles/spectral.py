@@ -374,13 +374,13 @@ def power_iteration(M: IntMatrix) -> float:
     """perron's iteration, for callers that have already decided that M is
     primitive and so need not decide it again."""
     v = [1.0] * M.n
-    w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
+    w = [sum(map(mul, row, v)) for row in M.rows]
     value = 0.0
     for _ in range(10000):
         norm = max(w)  # M is nonnegative and primitive, so w is positive
         v = [x / norm for x in w]
-        w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
-        rayleigh = sum(x * y for x, y in zip(v, w)) / sum(x * x for x in v)
+        w = [sum(map(mul, row, v)) for row in M.rows]
+        rayleigh = sum(map(mul, v, w)) / sum(map(mul, v, v))
         if abs(rayleigh - value) < PERRON_TOLERANCE:
             return rayleigh
         value = rayleigh

@@ -5,11 +5,15 @@ reference:
 
     PYTHONPATH=src python3 tests/data/record_renders.py
 
-It writes one file per case in CASES to tests/data/renders/.  The cases
-cover the renderer paths that the benchmark's inflate hashes miss: text in
-unicode and ASCII, color labels, violations on both axes, multi-character
-tokens, the morphism table, and the stone view without a level or with
-color labels.
+It writes one file per case in CASES to tests/data/renders/.  With
+``--check`` it writes nothing, compares every case with the stored bytes,
+and exits 1 naming the files that differ:
+
+    PYTHONPATH=src python3 tests/data/record_renders.py --check
+
+The cases cover every renderer path: text in unicode and ASCII, index and
+color labels, violations on both axes, multi-character tokens, the morphism
+table, and the stone view with and without a level and labels.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ CASES = {
     "text_colors_unicode.txt": lambda: render_text(U, PATCH, "colors"),
     "text_index_ascii.txt": lambda: render_text(U, PATCH, ascii_only=True),
     "text_colors_ascii.txt": lambda: render_text(U, PATCH, "colors", ascii_only=True),
+    "svg_index.svg": lambda: render_svg(U, PATCH),
     "svg_colors.svg": lambda: render_svg(U, PATCH, "colors"),
+    "tikz_index.tex": lambda: render_tikz(U, PATCH),
     "tikz_colors.tex": lambda: render_tikz(U, PATCH, "colors"),
     "bad_text_index.txt": lambda: render_text(U, BAD),
     "bad_text_colors_ascii.txt": lambda: render_text(U, BAD, "colors", ascii_only=True),
@@ -58,12 +64,26 @@ CASES = {
     "multi_tikz_colors.tex": lambda: render_tikz(W, MULTI, "colors"),
     "morphism_omega.txt": lambda: render_morphism(omega, "text"),
     "morphism_omega.tex": lambda: render_morphism(omega, "tikz"),
+    "stone_index_level.svg": lambda: stone_render(GEO, PATCH, 4),
     "stone_no_level.svg": lambda: stone_render(GEO, PATCH),
     "stone_colors.svg": lambda: stone_render(GEO, PATCH, 4, "colors"),
 }
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        differ = [
+            name for name, make in CASES.items()
+            if not (RENDERS / name).is_file()
+            or (RENDERS / name).read_bytes() != make().encode("utf-8")
+        ]
+        for name in differ:
+            print(f"differs: {name}", file=sys.stderr)
+        print(f"{len(CASES) - len(differ)} of {len(CASES)} files match", file=sys.stderr)
+        return 1 if differ else 0
+    if argv:
+        print("usage: record_renders.py [--check]", file=sys.stderr)
+        return 2
     RENDERS.mkdir(exist_ok=True)
     for name, make in CASES.items():
         (RENDERS / name).write_bytes(make().encode("utf-8"))
@@ -72,4 +92,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

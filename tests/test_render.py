@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +15,9 @@ from wangtiles.render import (
     GeometryError,
     render,
     render_morphism,
+    render_svg,
+    render_text,
+    render_tikz,
     stone_geometry_u,
     stone_render,
 )
@@ -38,6 +43,50 @@ def test_render_matches_golden_bytes(name):
     # intended change of output (see data/record_renders.py).
     expected = (recorded.RENDERS / name).read_bytes()
     assert recorded.CASES[name]().encode("utf-8") == expected
+
+
+def test_check_mode_passes_on_the_recorded_bytes():
+    assert recorded.main(["--check"]) == 0
+
+
+def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    renders = tmp_path / "renders"
+    shutil.copytree(recorded.RENDERS, renders)
+    (renders / "svg_index.svg").write_bytes(b"stale")
+    (renders / "tikz_index.tex").unlink()
+    monkeypatch.setattr(recorded, "RENDERS", renders)
+    assert recorded.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "differs: svg_index.svg" in err and "differs: tikz_index.tex" in err
+    assert "differs: svg_colors.svg" not in err
+    assert (renders / "svg_index.svg").read_bytes() == b"stale"
+    assert not (renders / "tikz_index.tex").exists()
+
+
+# SHA-256 of render_text, render_svg, render_tikz and stone_render (at level
+# 10) of iterate(omega, a, 10): the largest patches the inflate benchmark
+# renders, 89x144 and 144x144 cells.
+LEVEL_TEN = {
+    8: (
+        "6712c02dabc499b35f45f440e6bff4930d199560760d54e3cdcda155614d544b",
+        "435293ac7e25297b959d07b09a9ec4b1d2add69183736920bde88b5d9841495f",
+        "dffb7afc5052624fe2f0c6d45a80207c908442778ef82e747d2adb765b403841",
+        "d188bcd5cd41efce22a695db66147dc575bbffd21fd8480b67e7f6fcb0b08b34",
+    ),
+    12: (
+        "752dbf2867d87504612d1eb1f56a7dee6d36bac6a4749d9d5fd1cec918f282de",
+        "2f82900a798a2fc94dcc1ecd39902b3eb5e140982ef02f3ae61e658d2daa8810",
+        "2dd6275e05ed5633e8d590c4c72984f911121e76f984fa43ccfd44a7cafddebd",
+        "5d6b3ef7eeb9f0b2892b0a78bde52a01d1d4f9f8e6f1de63567f5db2aa66baee",
+    ),
+}
+
+
+@pytest.mark.parametrize("a", sorted(LEVEL_TEN))
+def test_level_ten_patch_renderings_are_pinned(a):
+    w = iterate(omega, a, 10)
+    texts = (render_text(U, w), render_svg(U, w), render_tikz(U, w), stone_render(GEO, w, 10))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == LEVEL_TEN[a]
 
 
 class TestTextRender:
@@ -146,6 +195,16 @@ class TestArgumentErrors:
     def test_unknown_labels(self):
         with pytest.raises(ValueError):
             render(U, Word2d.letter(0), "text", "names")
+
+    @pytest.mark.parametrize("renderer", [
+        lambda labels: render_text(U, Word2d.letter(0), labels),
+        lambda labels: render_svg(U, Word2d.letter(0), labels),
+        lambda labels: render_tikz(U, Word2d.letter(0), labels),
+        lambda labels: stone_render(GEO, Word2d.letter(0), None, labels),
+    ], ids=["text", "svg", "tikz", "stone"])
+    def test_every_renderer_refuses_unknown_labels(self, renderer):
+        with pytest.raises(ValueError, match="unknown labels 'names'"):
+            renderer("names")
 
 
 class TestStone:

@@ -5,13 +5,14 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wangtiles.corpus import builtin
 from wangtiles.morphism import frequencies, incidence_matrix
 from wangtiles.spectral import (
     GOLDEN_ONE,
+    PERRON_TOLERANCE,
     PHI,
     GoldenNumber,
     GoldenRational,
@@ -20,7 +21,9 @@ from wangtiles.spectral import (
     char_poly,
     exact_perron_frequencies,
     golden_eigencheck,
+    is_primitive,
     perron,
+    power_iteration,
     recognize_golden,
 )
 
@@ -221,6 +224,39 @@ class TestPerron:
         value = perron(M)
         root = largest_real_root(char_poly(M))
         assert abs(value - root) < 1e-9
+
+
+def reference_power_iteration(M):
+    """power_iteration with its sums written as generator expressions: the
+    same products added in the same order, so the same float bit for bit."""
+    v = [1.0] * M.n
+    w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
+    value = 0.0
+    for _ in range(10000):
+        norm = max(w)
+        v = [x / norm for x in w]
+        w = [sum(a * x for a, x in zip(row, v)) for row in M.rows]
+        rayleigh = sum(x * y for x, y in zip(v, w)) / sum(x * x for x in v)
+        if abs(rayleigh - value) < PERRON_TOLERANCE:
+            return rayleigh
+        value = rayleigh
+    return value
+
+
+class TestPowerIterationAgainstReference:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_powers_of_omega(self, k):
+        M = mat_pow(incidence_matrix(builtin("omega").payload), k)
+        assert power_iteration(M).hex() == reference_power_iteration(M).hex()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_primitive_matrices(self, rows):
+        M = IntMatrix(rows)
+        assume(is_primitive(M) is not None)
+        assert power_iteration(M).hex() == reference_power_iteration(M).hex()
 
 
 small_ints = st.integers(-12, 12)
