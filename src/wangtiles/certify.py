@@ -30,7 +30,6 @@ for each 2x2 factor still missing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
@@ -56,25 +55,78 @@ AUTO_MAX_RADIUS = 3
 Plan = Union[str, Sequence[tuple[int, int]]]
 
 
-@dataclass
 class Step:
-    claim: str
-    evidence: dict
-    status: str  # "pass" | "fail"
+    """One claim of a certificate with its evidence; equal when all three
+    fields are, and unhashable, since it is mutable."""
+
+    __slots__ = ("claim", "evidence", "status")
+
+    def __init__(self, claim: str, evidence: dict, status: str):
+        self.claim = claim
+        self.evidence = evidence
+        self.status = status  # "pass" | "fail"
+
+    def __repr__(self) -> str:
+        return f"Step(claim={self.claim!r}, evidence={self.evidence!r}, status={self.status!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.claim, self.evidence, self.status) == (
+            other.claim, other.evidence, other.status
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def as_dict(self) -> dict:
         return {"claim": self.claim, "evidence": self.evidence, "status": self.status}
 
 
-@dataclass
 class Certificate:
-    subject: str
-    steps: list[Step] = field(default_factory=list)
-    self_similar: bool = False
-    aperiodic: bool = False
-    minimal: bool = False
-    started: str = ""
-    finished: str = ""
+    """The steps of one certify() run and its conclusion; equal when all
+    fields are, and unhashable, since it is mutable."""
+
+    __slots__ = (
+        "subject", "steps", "self_similar", "aperiodic", "minimal", "started", "finished"
+    )
+
+    def __init__(
+        self,
+        subject: str,
+        steps: Optional[list[Step]] = None,
+        self_similar: bool = False,
+        aperiodic: bool = False,
+        minimal: bool = False,
+        started: str = "",
+        finished: str = "",
+    ):
+        self.subject = subject
+        self.steps = [] if steps is None else steps
+        self.self_similar = self_similar
+        self.aperiodic = aperiodic
+        self.minimal = minimal
+        self.started = started
+        self.finished = finished
+
+    def _fields(self) -> tuple:
+        return (
+            self.subject, self.steps, self.self_similar, self.aperiodic,
+            self.minimal, self.started, self.finished,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Certificate(subject={self.subject!r}, steps={self.steps!r}, "
+            f"self_similar={self.self_similar!r}, aperiodic={self.aperiodic!r}, "
+            f"minimal={self.minimal!r}, started={self.started!r}, finished={self.finished!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
     def all_verified(self) -> bool:
         return self.self_similar and self.aperiodic and self.minimal

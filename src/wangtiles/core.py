@@ -7,7 +7,7 @@ immutable value; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 
@@ -31,19 +31,63 @@ def display_token(token: str) -> str:
     return token.replace(TOKEN_SEP, "")
 
 
-@dataclass(frozen=True, order=True)
-class WangTile:
-    """A Wang tile (right, top, left, bottom); colors are opaque tokens."""
+class Frozen:
+    """Base of the immutable value classes: assigning or deleting an attribute
+    raises AttributeError.  Subclasses set their fields with object.__setattr__
+    and pickle and copy through a __reduce__ that calls the constructor."""
 
-    right: str
-    top: str
-    left: str
-    bottom: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in (self.right, self.top, self.left, self.bottom):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class WangTile(Frozen):
+    """A Wang tile (right, top, left, bottom); colors are opaque tokens.
+
+    Equality, hashing and ordering go by the field tuple, as as_tuple() gives it.
+    """
+
+    __slots__ = ("right", "top", "left", "bottom")
+
+    def __init__(self, right: str, top: str, left: str, bottom: str):
+        for c in (right, top, left, bottom):
             if not c or any(ch.isspace() for ch in c):
                 raise ValueError(f"invalid color token {c!r}")
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "bottom", bottom)
+
+    def __reduce__(self):
+        return (WangTile, (self.right, self.top, self.left, self.bottom))
+
+    def __repr__(self) -> str:
+        return (
+            f"WangTile(right={self.right!r}, top={self.top!r}, "
+            f"left={self.left!r}, bottom={self.bottom!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.right, self.top, self.left, self.bottom) == (
+            other.right, other.top, other.left, other.bottom
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.right, self.top, self.left, self.bottom))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.right, self.top, self.left, self.bottom) < (
+            other.right, other.top, other.left, other.bottom
+        )
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.right, self.top, self.left, self.bottom)
@@ -164,13 +208,36 @@ def emit_tileset(ts: WangTileSet) -> str:
     return "".join(f"{t.right} {t.top} {t.left} {t.bottom}\n" for t in ts)
 
 
-@dataclass(frozen=True)
-class Equivalence:
+class Equivalence(Frozen):
     """Witness that two tile sets are equal up to color relabeling."""
 
-    vertical: dict[str, str]
-    horizontal: dict[str, str]
-    tile_map: dict[int, int]
+    __slots__ = ("vertical", "horizontal", "tile_map")
+
+    def __init__(
+        self, vertical: dict[str, str], horizontal: dict[str, str], tile_map: dict[int, int]
+    ):
+        object.__setattr__(self, "vertical", vertical)
+        object.__setattr__(self, "horizontal", horizontal)
+        object.__setattr__(self, "tile_map", tile_map)
+
+    def __reduce__(self):
+        return (Equivalence, (self.vertical, self.horizontal, self.tile_map))
+
+    def __repr__(self) -> str:
+        return (
+            f"Equivalence(vertical={self.vertical!r}, horizontal={self.horizontal!r}, "
+            f"tile_map={self.tile_map!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertical, self.horizontal, self.tile_map) == (
+            other.vertical, other.horizontal, other.tile_map
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertical, self.horizontal, self.tile_map))
 
 
 def _color_signature(ts: WangTileSet) -> tuple[dict[str, tuple], dict[str, tuple]]:

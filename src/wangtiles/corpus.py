@@ -11,11 +11,10 @@ composition checks instead of hiding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .core import WangTile, WangTileSet
+from .core import Frozen, WangTile, WangTileSet
 from .morphism import Morphism2d, Word2d, compose
 
 U_TILES = [
@@ -69,12 +68,44 @@ VERTICAL_RELABEL = {
 BUILTIN_NAMES = ("U", "V", "W", "alpha", "beta", "gamma", "omega")
 
 
-@dataclass(frozen=True)
-class NamedArtifact:
-    name: str
-    kind: str  # "tileset" | "morphism"
-    payload: Union[WangTileSet, Morphism2d]
-    provenance: str
+class NamedArtifact(Frozen):
+    """A built-in tile set or morphism with its name and where it comes from.
+
+    Equality and hashing go by (name, kind, payload, provenance).
+    """
+
+    __slots__ = ("name", "kind", "payload", "provenance")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # "tileset" | "morphism"
+        payload: Union[WangTileSet, Morphism2d],
+        provenance: str,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __reduce__(self):
+        return (NamedArtifact, (self.name, self.kind, self.payload, self.provenance))
+
+    def __repr__(self) -> str:
+        return (
+            f"NamedArtifact(name={self.name!r}, kind={self.kind!r}, "
+            f"payload={self.payload!r}, provenance={self.provenance!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.kind, self.payload, self.provenance) == (
+            other.name, other.kind, other.payload, other.provenance
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, self.payload, self.provenance))
 
 
 def _tileset(spec) -> WangTileSet:

@@ -17,11 +17,10 @@ satisfies the letter-level recognizability criterion by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
 
-from .core import WangTile, WangTileSet, fuse
+from .core import Frozen, WangTile, WangTileSet, fuse
 from .morphism import Morphism2d, Word2d, check_recognizability_criterion
 from .solver import domino, dominoes_with_surrounding, surviving_dominoes
 
@@ -38,24 +37,69 @@ class DerivationError(ValueError):
     """The derived set or its morphism failed a construction invariant."""
 
 
-@dataclass(frozen=True)
-class MarkerSet:
-    """Candidate marker tiles along an axis (1 or 2)."""
+class MarkerSet(Frozen):
+    """Candidate marker tiles along an axis (1 or 2).
 
-    tile_indices: frozenset[int]
-    direction: int
+    Equality and hashing go by (tile_indices, direction).
+    """
 
-    def __post_init__(self):
-        if self.direction not in (1, 2):
+    __slots__ = ("tile_indices", "direction")
+
+    def __init__(self, tile_indices: frozenset[int], direction: int):
+        if direction not in (1, 2):
             raise ValueError("direction must be 1 or 2")
+        object.__setattr__(self, "tile_indices", tile_indices)
+        object.__setattr__(self, "direction", direction)
+
+    def __reduce__(self):
+        return (MarkerSet, (self.tile_indices, self.direction))
+
+    def __repr__(self) -> str:
+        return f"MarkerSet(tile_indices={self.tile_indices!r}, direction={self.direction!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tile_indices, self.direction) == (other.tile_indices, other.direction)
+
+    def __hash__(self) -> int:
+        return hash((self.tile_indices, self.direction))
 
 
-@dataclass(frozen=True)
-class MarkerReport:
-    """Outcome of verify_markers: truthy iff the set is verified."""
+class MarkerReport(Frozen):
+    """Outcome of verify_markers: truthy iff the set is verified.
 
-    same_axis_violations: tuple[tuple[int, int], ...] = ()
-    cross_axis_violations: tuple[tuple[int, int], ...] = ()
+    Equality and hashing go by the two violation tuples.
+    """
+
+    __slots__ = ("same_axis_violations", "cross_axis_violations")
+
+    def __init__(
+        self,
+        same_axis_violations: tuple[tuple[int, int], ...] = (),
+        cross_axis_violations: tuple[tuple[int, int], ...] = (),
+    ):
+        object.__setattr__(self, "same_axis_violations", same_axis_violations)
+        object.__setattr__(self, "cross_axis_violations", cross_axis_violations)
+
+    def __reduce__(self):
+        return (MarkerReport, (self.same_axis_violations, self.cross_axis_violations))
+
+    def __repr__(self) -> str:
+        return (
+            f"MarkerReport(same_axis_violations={self.same_axis_violations!r}, "
+            f"cross_axis_violations={self.cross_axis_violations!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.same_axis_violations, self.cross_axis_violations) == (
+            other.same_axis_violations, other.cross_axis_violations
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.same_axis_violations, self.cross_axis_violations))
 
     @property
     def ok(self) -> bool:
@@ -153,17 +197,55 @@ def find_marker_candidates(
     return [MarkerSet(M, direction) for M in sorted(found, key=lambda M: (len(M), sorted(M)))]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """A verified desubstitution step: T regrouped into S = singles + fusions."""
+class Derivation(Frozen):
+    """A verified desubstitution step: T regrouped into S = singles + fusions.
 
-    source: WangTileSet
-    markers: MarkerSet
-    radius: int
-    derived: WangTileSet
-    morphism: Morphism2d  # derived -> source
-    singles: tuple[int, ...]               # source indices kept as letters
-    fusions: tuple[tuple[int, int], ...]   # (non-marker, marker) source pairs
+    Equality and hashing go by all seven fields, in constructor order.
+    """
+
+    __slots__ = ("source", "markers", "radius", "derived", "morphism", "singles", "fusions")
+
+    def __init__(
+        self,
+        source: WangTileSet,
+        markers: MarkerSet,
+        radius: int,
+        derived: WangTileSet,
+        morphism: Morphism2d,  # derived -> source
+        singles: tuple[int, ...],  # source indices kept as letters
+        fusions: tuple[tuple[int, int], ...],  # (non-marker, marker) source pairs
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "markers", markers)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "singles", singles)
+        object.__setattr__(self, "fusions", fusions)
+
+    def _fields(self) -> tuple:
+        return (
+            self.source, self.markers, self.radius, self.derived,
+            self.morphism, self.singles, self.fusions,
+        )
+
+    def __reduce__(self):
+        return (Derivation, self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Derivation(source={self.source!r}, markers={self.markers!r}, "
+            f"radius={self.radius!r}, derived={self.derived!r}, morphism={self.morphism!r}, "
+            f"singles={self.singles!r}, fusions={self.fusions!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def degenerate(self) -> bool:

@@ -9,12 +9,11 @@ agree along each input row and image widths agree along each input column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .core import WangTileSet
+from .core import Frozen, WangTileSet
 from .spectral import GoldenRational, IntMatrix, exact_perron_frequencies
 
 
@@ -37,18 +36,40 @@ def _is_int_table(rows: object) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True)
-class Word2d:
-    """Rectangular word of letters; columns listed left to right, bottom to top."""
+@total_ordering
+class Word2d(Frozen):
+    """Rectangular word of letters; columns listed left to right, bottom to top.
 
-    columns: tuple[tuple[int, ...], ...]
+    Equality, hashing and ordering go by the columns.
+    """
 
-    def __post_init__(self):
-        if not self.columns or not self.columns[0]:
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[tuple[int, ...], ...]):
+        if not columns or not columns[0]:
             raise ValueError("words must have shape at least (1, 1)")
-        h = len(self.columns[0])
-        if any(len(c) != h for c in self.columns):
+        h = len(columns[0])
+        if any(len(c) != h for c in columns):
             raise ValueError("all columns must have equal height")
+        object.__setattr__(self, "columns", columns)
+
+    def __reduce__(self):
+        return (Word2d, (self.columns,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self) -> int:
+        # The 1-tuple keeps the hash, and so the iteration order of sets of
+        # words, that the class has always had.
+        return hash((self.columns,))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.columns < other.columns
 
     @staticmethod
     def letter(a: int) -> "Word2d":
@@ -118,22 +139,43 @@ def subwords(w: Word2d, shape: tuple[int, int]) -> set[Word2d]:
     return set(map(Word2d, windows))
 
 
-@dataclass(frozen=True)
-class Morphism2d:
-    """Letter-to-block map between two tile sets."""
+class Morphism2d(Frozen):
+    """Letter-to-block map between two tile sets.
 
-    domain: WangTileSet
-    codomain: WangTileSet
-    images: tuple[Word2d, ...]
+    Equality and hashing go by (domain, codomain, images).  No __slots__:
+    the cached image tables live in the instance __dict__.
+    """
 
-    def __post_init__(self):
-        if len(self.images) != len(self.domain):
+    def __init__(self, domain: WangTileSet, codomain: WangTileSet, images: tuple[Word2d, ...]):
+        if len(images) != len(domain):
             raise ValueError(
-                f"need one image per domain letter: {len(self.images)} != {len(self.domain)}"
+                f"need one image per domain letter: {len(images)} != {len(domain)}"
             )
-        bad = [a for im in self.images for a in im.letters() if a >= len(self.codomain) or a < 0]
+        bad = [a for im in images for a in im.letters() if a >= len(codomain) or a < 0]
         if bad:
             raise ValueError(f"image letter {bad[0]} outside codomain")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "images", images)
+
+    def __reduce__(self):
+        return (Morphism2d, (self.domain, self.codomain, self.images))
+
+    def __repr__(self) -> str:
+        return (
+            f"Morphism2d(domain={self.domain!r}, codomain={self.codomain!r}, "
+            f"images={self.images!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.images) == (
+            other.domain, other.codomain, other.images
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self.images))
 
     @cached_property
     def image_tables(self) -> tuple[list[int], list[int], list[tuple[tuple[int, ...], ...]]]:

@@ -15,10 +15,9 @@ across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import WangTileSet, display_token
+from .core import Frozen, WangTileSet, display_token
 from .morphism import Morphism2d, Word2d
 from .solver import violations
 from .spectral import GOLDEN_ONE, GoldenNumber
@@ -360,15 +359,32 @@ def render_morphism(m: Morphism2d, format: str = "text") -> str:
     return "\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class StoneGeometry:
+class StoneGeometry(Frozen):
     """Per-tile rectangle sizes in Z[phi]; inflation scales them by phi.
 
     widths[i] and heights[i] are the exact dimensions of tile i's rectangle.
+    Equality and hashing go by (widths, heights).
     """
 
-    widths: tuple[GoldenNumber, ...]
-    heights: tuple[GoldenNumber, ...]
+    __slots__ = ("widths", "heights")
+
+    def __init__(self, widths: tuple[GoldenNumber, ...], heights: tuple[GoldenNumber, ...]):
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "heights", heights)
+
+    def __reduce__(self):
+        return (StoneGeometry, (self.widths, self.heights))
+
+    def __repr__(self) -> str:
+        return f"StoneGeometry(widths={self.widths!r}, heights={self.heights!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.widths, self.heights) == (other.widths, other.heights)
+
+    def __hash__(self) -> int:
+        return hash((self.widths, self.heights))
 
     def area(self, i: int) -> GoldenNumber:
         return self.widths[i] * self.heights[i]

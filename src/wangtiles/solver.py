@@ -41,11 +41,10 @@ a shape are enumerated once per tile set and filtered at each radius asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
 
-from .core import WangTileSet
+from .core import Frozen, WangTileSet
 from .morphism import Word2d
 
 Mode = Literal["exists", "enumerate", "count"]
@@ -106,26 +105,34 @@ class _Union(dict):
         return acc
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Per-tile-set adjacency bitmasks and memos, built once per tile set."""
+class _Tables(Frozen):
+    """Per-tile-set adjacency bitmasks and memos, built once per tile set.
 
-    full: int
-    # Every tile has a partner on each of its four sides, so the all-tiles
-    # start is arc-consistent and propagation starts at the pins alone.
-    partnered: bool
-    # The tiles that may sit east, west, north and south of each tile t
-    # (per_tile[t]), and their unions over candidate masks.
-    right: _Union = field(compare=False)
-    left: _Union = field(compare=False)
-    top: _Union = field(compare=False)
-    bottom: _Union = field(compare=False)
-    # Pattern -> (largest radius known to survive, smallest radius known to
-    # fail or None); filled by the surrounding queries and by harvest(),
-    # shared on purpose.
-    known: dict[Word2d, tuple[int, Optional[int]]] = field(default_factory=dict, compare=False)
-    # Shape -> every valid pattern of that shape, sorted by column tuples.
-    patterns: dict[tuple[int, int], list[Word2d]] = field(default_factory=dict, compare=False)
+    _tables() hands out one instance per tile set, so instances compare by
+    identity.
+    """
+
+    __slots__ = ("full", "partnered", "right", "left", "top", "bottom", "known", "patterns")
+
+    def __init__(
+        self, full: int, partnered: bool, right: _Union, left: _Union, top: _Union, bottom: _Union
+    ):
+        object.__setattr__(self, "full", full)
+        # Every tile has a partner on each of its four sides, so the all-tiles
+        # start is arc-consistent and propagation starts at the pins alone.
+        object.__setattr__(self, "partnered", partnered)
+        # The tiles that may sit east, west, north and south of each tile t
+        # (per_tile[t]), and their unions over candidate masks.
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        # Pattern -> (largest radius known to survive, smallest radius known to
+        # fail or None); filled by the surrounding queries and by harvest(),
+        # shared on purpose.
+        object.__setattr__(self, "known", {})
+        # Shape -> every valid pattern of that shape, sorted by column tuples.
+        object.__setattr__(self, "patterns", {})
 
 
 # Small on purpose: the memos grow with every query, and every fresh

@@ -14,7 +14,6 @@ the integer kernel vector is divided once, at the end, by its sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, sqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -102,6 +101,8 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __pow__(self, k: int) -> "IntPolynomial":
+        if k < 0:
+            raise ValueError(f"negative exponent {k}: not a polynomial")
         result = IntPolynomial([1])
         for _ in range(k):
             result = result * self
@@ -201,12 +202,36 @@ def is_primitive(M: IntMatrix) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
 class GoldenNumber:
-    """Element a + b*phi of Z[phi], phi**2 = phi + 1."""
+    """Element a + b*phi of Z[phi], phi**2 = phi + 1.
 
-    a: int = 0
-    b: int = 0
+    Immutable: assigning or deleting an attribute raises AttributeError (the
+    package's other value classes get this from core.Frozen, but this module
+    imports nothing from the package).  Equality and hashing go by (a, b).
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (GoldenNumber, (self.a, self.b))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __add__(self, other: "GoldenNumber") -> "GoldenNumber":
         return GoldenNumber(self.a + other.a, self.b + other.b)
@@ -267,21 +292,19 @@ GOLDEN_ONE = GoldenNumber(1, 0)
 GOLDEN_ZERO = GoldenNumber(0, 0)
 
 
-@dataclass(frozen=True)
 class GoldenRational:
     """Quotient of a GoldenNumber by a positive integer, kept in lowest terms.
 
     Z[phi] is a PID in which phi is a unit, so quotients of golden numbers
-    reduce to this shape after multiplying by the conjugate.
+    reduce to this shape after multiplying by the conjugate.  Immutable, like
+    GoldenNumber; equality and hashing go by (num, den).
     """
 
-    num: GoldenNumber = GOLDEN_ZERO
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __init__(self, num: GoldenNumber = GOLDEN_ZERO, den: int = 1):
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
-        num, den = self.num, self.den
         if den < 0:
             num, den = -num, -den
         g = gcd(gcd(abs(num.a), abs(num.b)), den)
@@ -290,6 +313,23 @@ class GoldenRational:
             den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    __setattr__ = GoldenNumber.__setattr__
+    __delattr__ = GoldenNumber.__delattr__
+
+    def __reduce__(self):
+        return (GoldenRational, (self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"GoldenRational(num={self.num!r}, den={self.den!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @staticmethod
     def of(g: GoldenNumber) -> "GoldenRational":

@@ -7,7 +7,9 @@ from contextlib import contextmanager
 from typing import Optional
 
 from wangtiles import spectral
+from wangtiles.certify import Certificate, Step
 from wangtiles.core import WangTile, WangTileSet
+from wangtiles.derivation import MarkerSet
 from wangtiles.morphism import Morphism2d, Word2d
 from wangtiles.spectral import GoldenNumber, GoldenRational, IntMatrix
 
@@ -61,3 +63,19 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def value_samples() -> dict[str, object]:
+    """One instance of each value class, built afresh on every call."""
+    T = WangTileSet([WangTile("A", "B", "A", "B"), WangTile("C", "B", "C", "B")])
+    return {
+        "WangTile": WangTile("J", "O", "J", "O"),
+        "Word2d": Word2d(((0, 1), (2, 3))),
+        "Morphism2d": Morphism2d(T, T, (Word2d.letter(1), Word2d.letter(0))),
+        "MarkerSet": MarkerSet(frozenset({0, 3}), 2),
+        "GoldenNumber": GoldenNumber(2, -3),
+        "GoldenRational": GoldenRational(GoldenNumber(2, 4), -6),
+        "Certificate": Certificate(
+            "U", [Step("claim", {"k": [1, 2]}, "pass")], self_similar=True, started="t0"
+        ),
+    }

@@ -177,6 +177,17 @@ class TestIntMatrix:
             IntMatrix([[1], [1, 2]])
 
 
+class TestIntPolynomial:
+    def test_powers(self):
+        assert IntPolynomial([1, 1]) ** 3 == IntPolynomial([1, 3, 3, 1])
+        assert IntPolynomial([1, 1]) ** 0 == IntPolynomial([1])
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_power_refused(self, k):
+        with pytest.raises(ValueError, match="negative exponent"):
+            IntPolynomial([1, 1]) ** k
+
+
 class TestCharPoly:
     def test_identity_3x3(self):
         # (x - 1)^3 = x^3 - 3x^2 + 3x - 1

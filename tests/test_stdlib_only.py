@@ -1,10 +1,12 @@
 """The package runs on the standard library alone, and its imports are layered:
 every import sits at module level, spectral imports nothing from the package,
-and no module reads another module's private names."""
+no module reads another module's private names, and importing the package
+stays light."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,23 @@ def test_package_imports_only_the_standard_library():
         if top not in (".", "wangtiles") and top not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter imports the package and builds every built-in
+    without dataclasses or inspect, which together cost more than the rest.
+    -S keeps site-packages start-up hooks out of the count."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wangtiles;"
+        "from wangtiles.corpus import BUILTIN_NAMES, builtin;"
+        "[builtin(name) for name in BUILTIN_NAMES];"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectral_imports_nothing_from_the_package():
