@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__
-from .core import WangTileSet, check_equivalence
+from .core import Value, WangTileSet, check_equivalence
 from .derivation import Derivation, derive, find_marker_candidates
 from .morphism import (
     CompositionError,
@@ -55,26 +55,16 @@ AUTO_MAX_RADIUS = 3
 Plan = Union[str, Sequence[tuple[int, int]]]
 
 
-class Step:
+class Step(Value):
     """One claim of a certificate with its evidence; equal when all three
     fields are, and unhashable, since it is mutable."""
 
-    __slots__ = ("claim", "evidence", "status")
+    __slots__ = _fields = ("claim", "evidence", "status")
 
     def __init__(self, claim: str, evidence: dict, status: str):
         self.claim = claim
         self.evidence = evidence
         self.status = status  # "pass" | "fail"
-
-    def __repr__(self) -> str:
-        return f"Step(claim={self.claim!r}, evidence={self.evidence!r}, status={self.status!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.claim, self.evidence, self.status) == (
-            other.claim, other.evidence, other.status
-        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -82,11 +72,11 @@ class Step:
         return {"claim": self.claim, "evidence": self.evidence, "status": self.status}
 
 
-class Certificate:
+class Certificate(Value):
     """The steps of one certify() run and its conclusion; equal when all
     fields are, and unhashable, since it is mutable."""
 
-    __slots__ = (
+    __slots__ = _fields = (
         "subject", "steps", "self_similar", "aperiodic", "minimal", "started", "finished"
     )
 
@@ -107,24 +97,6 @@ class Certificate:
         self.minimal = minimal
         self.started = started
         self.finished = finished
-
-    def _fields(self) -> tuple:
-        return (
-            self.subject, self.steps, self.self_similar, self.aperiodic,
-            self.minimal, self.started, self.finished,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Certificate(subject={self.subject!r}, steps={self.steps!r}, "
-            f"self_similar={self.self_similar!r}, aperiodic={self.aperiodic!r}, "
-            f"minimal={self.minimal!r}, started={self.started!r}, finished={self.finished!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     __hash__ = None  # type: ignore[assignment]
 

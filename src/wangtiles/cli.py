@@ -17,7 +17,7 @@ from typing import Optional
 from .certify import certify
 from .core import ParseError, WangTileSet, emit_tileset, parse_tileset
 from .corpus import BUILTIN_NAMES, builtin
-from .derivation import MarkerSet, derive, find_marker_candidates, verify_markers
+from .derivation import MarkerError, MarkerSet, derive, find_marker_candidates, verify_markers
 from .morphism import Morphism2d, Word2d, incidence_matrix, iterate
 from .render import render, render_morphism, stone_geometry_u, stone_render
 from .solver import dominoes_with_surrounding, is_valid_pattern, patterns_with_surrounding
@@ -118,7 +118,11 @@ def cmd_derive(args) -> int:
         markers = candidates[0]
     else:
         markers = MarkerSet(_parse_markers(args.markers, len(T)), args.dir)
-    d = derive(T, markers, args.radius)
+    try:
+        d = derive(T, markers, args.radius)
+    except MarkerError as e:  # a failed claim, as under markers --verify
+        sys.stdout.write(e.report.summary() + "\n")
+        return 1
     witness = d.class_sorted_permutation()
     doc = {
         "tiles": emit_tileset(d.derived),

@@ -8,6 +8,7 @@ immutable value; operations are pure functions.
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 
@@ -31,10 +32,45 @@ def display_token(token: str) -> str:
     return token.replace(TOKEN_SEP, "")
 
 
-class Frozen:
-    """Base of the immutable value classes: assigning or deleting an attribute
-    raises AttributeError.  Subclasses set their fields with object.__setattr__
-    and pickle and copy through a __reduce__ that calls the constructor."""
+class Value:
+    """Base of the value classes.  Each subclass lists its fields once, in
+    constructor order, as _fields; from them it gets __eq__ (NotImplemented
+    for any other class), __hash__ (the hash of the field tuple), a
+    dataclass-style __repr__ and a __reduce__ that calls the constructor, so
+    pickling and copying rebuild through __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields is not None:
+            # Given one name, attrgetter returns the bare value: _key compares
+            # it as it is, _values wraps it in the 1-tuple that is hashed.
+            get = cls._key = attrgetter(*fields)
+            cls._values = get if len(fields) > 1 else staticmethod(lambda x: (get(x),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__name__}({pairs})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+
+class Frozen(Value):
+    """A Value whose attributes cannot be assigned or deleted: both raise
+    AttributeError.  Subclasses set their fields with object.__setattr__."""
 
     __slots__ = ()
 
@@ -52,7 +88,7 @@ class WangTile(Frozen):
     Equality, hashing and ordering go by the field tuple, as as_tuple() gives it.
     """
 
-    __slots__ = ("right", "top", "left", "bottom")
+    __slots__ = _fields = ("right", "top", "left", "bottom")
 
     def __init__(self, right: str, top: str, left: str, bottom: str):
         for c in (right, top, left, bottom):
@@ -63,31 +99,10 @@ class WangTile(Frozen):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "bottom", bottom)
 
-    def __reduce__(self):
-        return (WangTile, (self.right, self.top, self.left, self.bottom))
-
-    def __repr__(self) -> str:
-        return (
-            f"WangTile(right={self.right!r}, top={self.top!r}, "
-            f"left={self.left!r}, bottom={self.bottom!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.right, self.top, self.left, self.bottom) == (
-            other.right, other.top, other.left, other.bottom
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.right, self.top, self.left, self.bottom))
-
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.right, self.top, self.left, self.bottom) < (
-            other.right, other.top, other.left, other.bottom
-        )
+        return self.as_tuple() < other.as_tuple()
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.right, self.top, self.left, self.bottom)
@@ -211,7 +226,7 @@ def emit_tileset(ts: WangTileSet) -> str:
 class Equivalence(Frozen):
     """Witness that two tile sets are equal up to color relabeling."""
 
-    __slots__ = ("vertical", "horizontal", "tile_map")
+    __slots__ = _fields = ("vertical", "horizontal", "tile_map")
 
     def __init__(
         self, vertical: dict[str, str], horizontal: dict[str, str], tile_map: dict[int, int]
@@ -219,25 +234,6 @@ class Equivalence(Frozen):
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "horizontal", horizontal)
         object.__setattr__(self, "tile_map", tile_map)
-
-    def __reduce__(self):
-        return (Equivalence, (self.vertical, self.horizontal, self.tile_map))
-
-    def __repr__(self) -> str:
-        return (
-            f"Equivalence(vertical={self.vertical!r}, horizontal={self.horizontal!r}, "
-            f"tile_map={self.tile_map!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertical, self.horizontal, self.tile_map) == (
-            other.vertical, other.horizontal, other.tile_map
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertical, self.horizontal, self.tile_map))
 
 
 def _color_signature(ts: WangTileSet) -> tuple[dict[str, tuple], dict[str, tuple]]:

@@ -74,7 +74,7 @@ class NamedArtifact(Frozen):
     Equality and hashing go by (name, kind, payload, provenance).
     """
 
-    __slots__ = ("name", "kind", "payload", "provenance")
+    __slots__ = _fields = ("name", "kind", "payload", "provenance")
 
     def __init__(
         self,
@@ -87,25 +87,6 @@ class NamedArtifact(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "provenance", provenance)
-
-    def __reduce__(self):
-        return (NamedArtifact, (self.name, self.kind, self.payload, self.provenance))
-
-    def __repr__(self) -> str:
-        return (
-            f"NamedArtifact(name={self.name!r}, kind={self.kind!r}, "
-            f"payload={self.payload!r}, provenance={self.provenance!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.kind, self.payload, self.provenance) == (
-            other.name, other.kind, other.payload, other.provenance
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.kind, self.payload, self.provenance))
 
 
 def _tileset(spec) -> WangTileSet:

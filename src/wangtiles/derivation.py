@@ -43,27 +43,13 @@ class MarkerSet(Frozen):
     Equality and hashing go by (tile_indices, direction).
     """
 
-    __slots__ = ("tile_indices", "direction")
+    __slots__ = _fields = ("tile_indices", "direction")
 
     def __init__(self, tile_indices: frozenset[int], direction: int):
         if direction not in (1, 2):
             raise ValueError("direction must be 1 or 2")
         object.__setattr__(self, "tile_indices", tile_indices)
         object.__setattr__(self, "direction", direction)
-
-    def __reduce__(self):
-        return (MarkerSet, (self.tile_indices, self.direction))
-
-    def __repr__(self) -> str:
-        return f"MarkerSet(tile_indices={self.tile_indices!r}, direction={self.direction!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tile_indices, self.direction) == (other.tile_indices, other.direction)
-
-    def __hash__(self) -> int:
-        return hash((self.tile_indices, self.direction))
 
 
 class MarkerReport(Frozen):
@@ -72,7 +58,7 @@ class MarkerReport(Frozen):
     Equality and hashing go by the two violation tuples.
     """
 
-    __slots__ = ("same_axis_violations", "cross_axis_violations")
+    __slots__ = _fields = ("same_axis_violations", "cross_axis_violations")
 
     def __init__(
         self,
@@ -81,25 +67,6 @@ class MarkerReport(Frozen):
     ):
         object.__setattr__(self, "same_axis_violations", same_axis_violations)
         object.__setattr__(self, "cross_axis_violations", cross_axis_violations)
-
-    def __reduce__(self):
-        return (MarkerReport, (self.same_axis_violations, self.cross_axis_violations))
-
-    def __repr__(self) -> str:
-        return (
-            f"MarkerReport(same_axis_violations={self.same_axis_violations!r}, "
-            f"cross_axis_violations={self.cross_axis_violations!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.same_axis_violations, self.cross_axis_violations) == (
-            other.same_axis_violations, other.cross_axis_violations
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.same_axis_violations, self.cross_axis_violations))
 
     @property
     def ok(self) -> bool:
@@ -203,7 +170,9 @@ class Derivation(Frozen):
     Equality and hashing go by all seven fields, in constructor order.
     """
 
-    __slots__ = ("source", "markers", "radius", "derived", "morphism", "singles", "fusions")
+    __slots__ = _fields = (
+        "source", "markers", "radius", "derived", "morphism", "singles", "fusions"
+    )
 
     def __init__(
         self,
@@ -222,30 +191,6 @@ class Derivation(Frozen):
         object.__setattr__(self, "morphism", morphism)
         object.__setattr__(self, "singles", singles)
         object.__setattr__(self, "fusions", fusions)
-
-    def _fields(self) -> tuple:
-        return (
-            self.source, self.markers, self.radius, self.derived,
-            self.morphism, self.singles, self.fusions,
-        )
-
-    def __reduce__(self):
-        return (Derivation, self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Derivation(source={self.source!r}, markers={self.markers!r}, "
-            f"radius={self.radius!r}, derived={self.derived!r}, morphism={self.morphism!r}, "
-            f"singles={self.singles!r}, fusions={self.fusions!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def degenerate(self) -> bool:

@@ -43,7 +43,7 @@ class Word2d(Frozen):
     Equality, hashing and ordering go by the columns.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = _fields = ("columns",)
 
     def __init__(self, columns: tuple[tuple[int, ...], ...]):
         if not columns or not columns[0]:
@@ -52,19 +52,6 @@ class Word2d(Frozen):
         if any(len(c) != h for c in columns):
             raise ValueError("all columns must have equal height")
         object.__setattr__(self, "columns", columns)
-
-    def __reduce__(self):
-        return (Word2d, (self.columns,))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.columns == other.columns
-
-    def __hash__(self) -> int:
-        # The 1-tuple keeps the hash, and so the iteration order of sets of
-        # words, that the class has always had.
-        return hash((self.columns,))
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -146,6 +133,8 @@ class Morphism2d(Frozen):
     the cached image tables live in the instance __dict__.
     """
 
+    _fields = ("domain", "codomain", "images")
+
     def __init__(self, domain: WangTileSet, codomain: WangTileSet, images: tuple[Word2d, ...]):
         if len(images) != len(domain):
             raise ValueError(
@@ -157,25 +146,6 @@ class Morphism2d(Frozen):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", images)
-
-    def __reduce__(self):
-        return (Morphism2d, (self.domain, self.codomain, self.images))
-
-    def __repr__(self) -> str:
-        return (
-            f"Morphism2d(domain={self.domain!r}, codomain={self.codomain!r}, "
-            f"images={self.images!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.codomain, self.images) == (
-            other.domain, other.codomain, other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.images))
 
     @cached_property
     def image_tables(self) -> tuple[list[int], list[int], list[tuple[tuple[int, ...], ...]]]:

@@ -366,25 +366,11 @@ class StoneGeometry(Frozen):
     Equality and hashing go by (widths, heights).
     """
 
-    __slots__ = ("widths", "heights")
+    __slots__ = _fields = ("widths", "heights")
 
     def __init__(self, widths: tuple[GoldenNumber, ...], heights: tuple[GoldenNumber, ...]):
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "heights", heights)
-
-    def __reduce__(self):
-        return (StoneGeometry, (self.widths, self.heights))
-
-    def __repr__(self) -> str:
-        return f"StoneGeometry(widths={self.widths!r}, heights={self.heights!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.widths, self.heights) == (other.widths, other.heights)
-
-    def __hash__(self) -> int:
-        return hash((self.widths, self.heights))
 
     def area(self, i: int) -> GoldenNumber:
         return self.widths[i] * self.heights[i]

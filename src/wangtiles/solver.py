@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
 
-from .core import Frozen, WangTileSet
+from .core import WangTileSet
 from .morphism import Word2d
 
 Mode = Literal["exists", "enumerate", "count"]
@@ -105,7 +105,7 @@ class _Union(dict):
         return acc
 
 
-class _Tables(Frozen):
+class _Tables:
     """Per-tile-set adjacency bitmasks and memos, built once per tile set.
 
     _tables() hands out one instance per tile set, so instances compare by
@@ -117,22 +117,22 @@ class _Tables(Frozen):
     def __init__(
         self, full: int, partnered: bool, right: _Union, left: _Union, top: _Union, bottom: _Union
     ):
-        object.__setattr__(self, "full", full)
+        self.full = full
         # Every tile has a partner on each of its four sides, so the all-tiles
         # start is arc-consistent and propagation starts at the pins alone.
-        object.__setattr__(self, "partnered", partnered)
+        self.partnered = partnered
         # The tiles that may sit east, west, north and south of each tile t
         # (per_tile[t]), and their unions over candidate masks.
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+        self.right = right
+        self.left = left
+        self.top = top
+        self.bottom = bottom
         # Pattern -> (largest radius known to survive, smallest radius known to
         # fail or None); filled by the surrounding queries and by harvest(),
         # shared on purpose.
-        object.__setattr__(self, "known", {})
+        self.known = {}
         # Shape -> every valid pattern of that shape, sorted by column tuples.
-        object.__setattr__(self, "patterns", {})
+        self.patterns = {}
 
 
 # Small on purpose: the memos grow with every query, and every fresh

@@ -8,9 +8,11 @@ from typing import Optional
 
 from wangtiles import spectral
 from wangtiles.certify import Certificate, Step
-from wangtiles.core import WangTile, WangTileSet
-from wangtiles.derivation import MarkerSet
+from wangtiles.core import Equivalence, WangTile, WangTileSet
+from wangtiles.corpus import NamedArtifact
+from wangtiles.derivation import Derivation, MarkerReport, MarkerSet
 from wangtiles.morphism import Morphism2d, Word2d
+from wangtiles.render import StoneGeometry
 from wangtiles.spectral import GoldenNumber, GoldenRational, IntMatrix
 
 
@@ -68,13 +70,22 @@ def deadline(seconds: int):
 def value_samples() -> dict[str, object]:
     """One instance of each value class, built afresh on every call."""
     T = WangTileSet([WangTile("A", "B", "A", "B"), WangTile("C", "B", "C", "B")])
+    swap = Morphism2d(T, T, (Word2d.letter(1), Word2d.letter(0)))
     return {
         "WangTile": WangTile("J", "O", "J", "O"),
+        "Equivalence": Equivalence({"A": "C", "C": "A"}, {"B": "B"}, {0: 1, 1: 0}),
         "Word2d": Word2d(((0, 1), (2, 3))),
-        "Morphism2d": Morphism2d(T, T, (Word2d.letter(1), Word2d.letter(0))),
+        "Morphism2d": swap,
         "MarkerSet": MarkerSet(frozenset({0, 3}), 2),
+        "MarkerReport": MarkerReport(((0, 1),), ((1, 0), (2, 3))),
+        "Derivation": Derivation(T, MarkerSet(frozenset({1}), 1), 1, T, swap, (0,), ((0, 1),)),
+        "NamedArtifact": NamedArtifact("T", "tileset", T, "two sample tiles"),
+        "StoneGeometry": StoneGeometry(
+            (GoldenNumber(1, 0), GoldenNumber(0, 1)), (GoldenNumber(1, 1), GoldenNumber(2, 0))
+        ),
         "GoldenNumber": GoldenNumber(2, -3),
         "GoldenRational": GoldenRational(GoldenNumber(2, 4), -6),
+        "Step": Step("claim", {"k": [1, 2]}, "pass"),
         "Certificate": Certificate(
             "U", [Step("claim", {"k": [1, 2]}, "pass")], self_similar=True, started="t0"
         ),

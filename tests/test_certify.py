@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,26 @@ def test_certificate_matches_golden_bytes(name, plan, golden):
     doc = json.loads(certify(builtin(name).payload, name, plan).to_json())
     del doc["timestamps"]
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == (DATA / golden).read_text()
+
+
+# String hashes, and so the iteration order of sets of colors and tiles,
+# change from one interpreter to the next; the certificate must not.
+@pytest.mark.parametrize("name, plan", [("U", "auto"), ("V", "e1:1,e2:2")])
+def test_certificate_bytes_do_not_depend_on_the_hash_seed(name, plan):
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "wangtiles.cli", "certify", name, "--plan", plan],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        doc = json.loads(out.stdout)
+        del doc["timestamps"]
+        outputs.append(json.dumps(doc, sort_keys=True, indent=2))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["conclusion"] == {
+        "aperiodic": True, "minimal": True, "selfSimilar": True,
+    }
 
 
 # Exact rectangle-solve counts from a cold surrounding memo: a change that

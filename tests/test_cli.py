@@ -137,6 +137,20 @@ class TestDerive:
         assert doc["singles"] == [8, 9, 11, 13, 14, 15, 16, 17]
         assert not doc["degenerate"]
 
+    def test_unverified_markers_are_a_failed_claim(self, capsys):
+        """derive refuses markers that do not verify with exit 1, as markers
+        --verify does, and prints the same report."""
+        code, report, _ = run(
+            capsys, "markers", "U", "--dir", "1", "--radius", "1", "--verify", "0,1"
+        )
+        assert code == 1
+        assert report.startswith("marker/non-marker dominoes across the axis: ")
+        code, out, err = run(
+            capsys, "derive", "U", "--dir", "1", "--radius", "1", "--markers", "0,1"
+        )
+        assert code == 1
+        assert out == report and err == ""
+
     def test_failed_derivation_invariant_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(derivation, "check_recognizability_criterion", lambda *a: False)
         code, _, err = run(capsys, "derive", "U", "--dir", "2", "--radius", "2")

@@ -1,7 +1,7 @@
 """The package runs on the standard library alone, and its imports are layered:
 every import sits at module level, spectral imports nothing from the package,
 no module reads another module's private names, and importing the package
-stays light."""
+stays light.  Value semantics are written in one place: core.Value."""
 
 from __future__ import annotations
 
@@ -155,3 +155,53 @@ def test_every_definition_is_referenced():
         if defined not in read
     ]
     assert unread == []
+
+
+VALUE_METHODS = ("__eq__", "__hash__", "__reduce__")
+# The classes that may write VALUE_METHODS themselves: the shared base, and the
+# tile set with its cached hash.  spectral imports nothing from the package, so
+# its classes write their own.
+VALUE_METHOD_OWNERS = {("core.py", "Value"), ("core.py", "WangTileSet")}
+
+
+def _written_value_methods(name: str, tree: ast.Module) -> list[str]:
+    """Every class of the module that defines or assigns one of VALUE_METHODS,
+    other than the owners; ``__hash__ = None``, which makes a class unhashable,
+    is allowed anywhere."""
+    if name == "spectral.py":
+        return []
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or (name, cls.name) in VALUE_METHOD_OWNERS:
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign) and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None
+            ):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno}: {cls.name}.{t}" for t in targets if t in VALUE_METHODS
+            ]
+    return found
+
+
+def test_value_semantics_are_written_only_in_core_value():
+    assert [line for name, tree in _modules() for line in _written_value_methods(name, tree)] == []
+
+
+def test_value_method_guard_catches_a_written_out_eq():
+    source = (PACKAGE / "core.py").read_text()
+    anchor = "    def as_tuple(self)"
+    patched = source.replace(
+        anchor,
+        "    def __eq__(self, other):\n        return self.as_tuple() == other.as_tuple()\n\n"
+        + anchor,
+        1,
+    )
+    assert patched != source
+    found = _written_value_methods("core.py", ast.parse(patched))
+    assert len(found) == 1 and found[0].endswith(": WangTile.__eq__")

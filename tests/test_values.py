@@ -1,6 +1,7 @@
 """Value semantics of the value classes: equality, hashing, ordering, repr,
 immutability, pickling and copying.  The expected reprs are the strings these
-classes printed when they were generated by dataclasses."""
+classes printed when they were generated by dataclasses, or, for the classes
+added to the samples later, when each wrote its own methods out."""
 
 from __future__ import annotations
 
@@ -23,28 +24,63 @@ NAMES = list(value_samples())
 
 FIELDS = {
     "WangTile": ("right", "top", "left", "bottom"),
+    "Equivalence": ("vertical", "horizontal", "tile_map"),
     "Word2d": ("columns",),
     "Morphism2d": ("domain", "codomain", "images"),
     "MarkerSet": ("tile_indices", "direction"),
+    "MarkerReport": ("same_axis_violations", "cross_axis_violations"),
+    "Derivation": ("source", "markers", "radius", "derived", "morphism", "singles", "fusions"),
+    "NamedArtifact": ("name", "kind", "payload", "provenance"),
+    "StoneGeometry": ("widths", "heights"),
     "GoldenNumber": ("a", "b"),
     "GoldenRational": ("num", "den"),
+    "Step": ("claim", "evidence", "status"),
     "Certificate": (
         "subject", "steps", "self_similar", "aperiodic", "minimal", "started", "finished"
     ),
 }
 
-FROZEN = [name for name in NAMES if name != "Certificate"]
+MUTABLE = ["Step", "Certificate"]
+FROZEN = [name for name in NAMES if name not in MUTABLE]
+# Step and Certificate are mutable, so unhashable; an Equivalence holds dicts,
+# so hashing one fails on its fields.
+UNHASHABLE = MUTABLE + ["Equivalence"]
+HASHABLE = [name for name in NAMES if name not in UNHASHABLE]
 
 REPRS = {
     "WangTile": "WangTile(right='J', top='O', left='J', bottom='O')",
+    "Equivalence": (
+        "Equivalence(vertical={'A': 'C', 'C': 'A'}, horizontal={'B': 'B'}, "
+        "tile_map={0: 1, 1: 0})"
+    ),
     "Word2d": "Word2d([[0, 1], [2, 3]])",
     "Morphism2d": (
         "Morphism2d(domain=WangTileSet(2 tiles), codomain=WangTileSet(2 tiles), "
         "images=(Word2d([[1]]), Word2d([[0]])))"
     ),
     "MarkerSet": "MarkerSet(tile_indices=frozenset({0, 3}), direction=2)",
+    "MarkerReport": (
+        "MarkerReport(same_axis_violations=((0, 1),), "
+        "cross_axis_violations=((1, 0), (2, 3)))"
+    ),
+    "Derivation": (
+        "Derivation(source=WangTileSet(2 tiles), "
+        "markers=MarkerSet(tile_indices=frozenset({1}), direction=1), radius=1, "
+        "derived=WangTileSet(2 tiles), morphism=Morphism2d(domain=WangTileSet(2 tiles), "
+        "codomain=WangTileSet(2 tiles), images=(Word2d([[1]]), Word2d([[0]]))), "
+        "singles=(0,), fusions=((0, 1),))"
+    ),
+    "NamedArtifact": (
+        "NamedArtifact(name='T', kind='tileset', payload=WangTileSet(2 tiles), "
+        "provenance='two sample tiles')"
+    ),
+    "StoneGeometry": (
+        "StoneGeometry(widths=(GoldenNumber(1, 0), GoldenNumber(0, 1)), "
+        "heights=(GoldenNumber(1, 1), GoldenNumber(2, 0)))"
+    ),
     "GoldenNumber": "GoldenNumber(2, -3)",
     "GoldenRational": "GoldenRational(num=GoldenNumber(-1, -2), den=3)",
+    "Step": "Step(claim='claim', evidence={'k': [1, 2]}, status='pass')",
     "Certificate": (
         "Certificate(subject='U', steps=[Step(claim='claim', evidence={'k': [1, 2]}, "
         "status='pass')], self_similar=True, aperiodic=False, minimal=False, "
@@ -58,12 +94,29 @@ def test_equal_objects_built_separately_hash_alike(name):
     a, b = value_samples()[name], value_samples()[name]
     assert a is not b
     assert a == b and not a != b
-    if name == "Certificate":  # mutable, so unhashable
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b)
         assert len({a: 1, b: 2}) == 1
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_hash_is_the_hash_of_the_field_tuple(name):
+    """Hash values, and so the iteration order of sets of values, stay those
+    of the field tuple; Word2d's is the 1-tuple of its columns."""
+    x = value_samples()[name]
+    assert hash(x) == hash(tuple(getattr(x, f) for f in FIELDS[name]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_objects_differing_in_one_field_are_unequal(name):
+    x = value_samples()[name]
+    for f in FIELDS[name]:
+        y = copy.copy(x)
+        object.__setattr__(y, f, object())
+        assert y != x and x != y
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -97,6 +150,12 @@ def test_certificate_fields_can_be_assigned():
     assert cert.minimal and cert != value_samples()["Certificate"]
 
 
+def test_step_fields_can_be_assigned():
+    step = value_samples()["Step"]
+    step.status = "fail"
+    assert step.status == "fail" and step != value_samples()["Step"]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_pickle_and_copy_give_equal_objects(name):
     x = value_samples()[name]
@@ -109,7 +168,7 @@ def test_unpickled_values_hash_like_fresh_ones_in_another_process():
         "import pickle, sys; from helpers import value_samples;"
         "loaded = pickle.loads(sys.stdin.buffer.read()); fresh = value_samples();"
         "print(all(loaded[k] == fresh[k] for k in fresh),"
-        " all(hash(loaded[k]) == hash(fresh[k]) for k in fresh if k != 'Certificate'))"
+        f" all(hash(loaded[k]) == hash(fresh[k]) for k in {HASHABLE!r}))"
     )
     env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
