@@ -7,9 +7,12 @@ Floating point appears only in ``perron``, the float Perron root from which
 the exact eigenvalue is recognized, and in display helpers such as
 ``spectral_report``, the text of ``wangtiles spectral``.
 
-Exact eigenvectors come from fraction-free Gauss-Jordan elimination on
-(a, b) integer pairs of Z[phi]: no fraction is formed while eliminating, and
-the integer kernel vector is divided once, at the end, by its sum.
+Exact eigenvectors are found over the integers alone.  For an eigenvalue
+lambda = a + b*phi with b != 0 and its conjugate lambda', fraction-free
+Gauss-Jordan elimination finds an integer kernel vector u of the integer
+matrix q(M) = (M - lambda I)(M - lambda' I), and (M - lambda' I) u is an
+eigenvector in Z[phi].  No fraction is formed while eliminating, and the
+eigenvector is divided once, at the end, by its sum.
 """
 
 from __future__ import annotations
@@ -441,65 +444,99 @@ def recognize_golden(x: float, max_b: int = 64) -> Optional[GoldenNumber]:
     return None
 
 
-def _integer_kernel(
-    M: IntMatrix, eigenvalue: GoldenNumber
-) -> Optional[tuple[GoldenNumber, list[GoldenNumber]]]:
-    """(D, x) with x a nonzero solution of (M - lambda I) x = 0 in Z[phi], or None.
+def _fraction_free_kernel(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """(D, u) with u a nonzero integer solution of A u = 0, or None when the
+    square integer matrix A, given as ``rows`` and overwritten, is
+    nonsingular.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on plain (a, b)
-    pairs: each non-pivot row becomes (p*x - f*y) / q for the pivot p and the
-    previous pivot q, and the division is exact in Z[phi].  It is done by
-    multiplying by q's conjugate factor and dividing both coordinates by
-    norm(q), which may be negative.  Rows whose entry in the pivot column is
-    zero are updated too: skipping them would break the exactness of every
-    later division.  At the end every pivot equals the last one, D, so the
-    vector has D in the first free column and minus that column's entries at
-    the pivots; x / D is the vector that elimination over the field gives.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each non-pivot row
+    becomes (p*x - f*y) // q for the pivot p and the previous pivot q, and
+    the division is exact.  Rows whose entry in the pivot column is zero are
+    updated too: skipping them would break the exactness of every later
+    division.  At the end every pivot equals the last one, D, so u has D in
+    the first free column and minus that column's entries at the pivots;
+    u / D is the vector that elimination over the field Q gives.
     """
-    n = M.n
-    la, lb = eigenvalue.a, eigenvalue.b
-    zero = (0, 0)
-    rows = [[(a - la, -lb) if i == j else (a, 0) for j, a in enumerate(row)]
-            for i, row in enumerate(M.rows)]
+    n = len(rows)
     pivots: list[int] = []
-    qa, qb = 1, 0
+    q = 1
     for c in range(n):
         r = len(pivots)
         # Each row is a nonzero multiple of the row that elimination over the
-        # field Q(phi) would hold, so the zero patterns are the same; pivoting
-        # on the sparsest row (first on ties) creates the least fill-in.
-        candidates = [i for i in range(r, n) if rows[i][c] != zero]
+        # field would hold, so the zero patterns are the same; pivoting on
+        # the sparsest row (first on ties) creates the least fill-in.
+        candidates = [i for i in range(r, n) if rows[i][c]]
         if not candidates:
             continue
-        pivot = max(candidates, key=lambda i: rows[i].count(zero))
+        pivot = max(candidates, key=lambda i: rows[i].count(0))
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        pa, pb = prow[c]
-        ca, cb, norm = qa + qb, -qb, qa * qa + qa * qb - qb * qb
+        p = prow[c]
         for i in range(n):
-            if i == r:
-                continue
-            fa, fb = rows[i][c]
-            new = []
-            for (xa, xb), (ya, yb) in zip(rows[i], prow):
-                if not (xa or xb or ya or yb):
-                    new.append(zero)  # (p*0 - f*0) / q
-                    continue
-                ta = pa * xa + pb * xb - fa * ya - fb * yb
-                tb = pa * xb + pb * xa + pb * xb - fa * yb - fb * ya - fb * yb
-                new.append(((ta * ca + tb * cb) // norm, (ta * cb + tb * ca + tb * cb) // norm))
-            rows[i] = new
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // q for x, y in zip(rows[i], prow)]
         pivots.append(c)
-        qa, qb = pa, pb
+        q = p
     if len(pivots) == n:
-        return None  # trivial kernel: not an eigenvalue
+        return None
     free = next(c for c in range(n) if c not in pivots)
-    x = [GOLDEN_ZERO] * n
-    x[free] = GoldenNumber(qa, qb)
+    u = [0] * n
+    u[free] = q
     for row, c in zip(rows, pivots):
-        xa, xb = row[free]
-        x[c] = GoldenNumber(-xa, -xb)
-    return x[free], x
+        u[c] = -row[free]
+    return q, u
+
+
+def _integer_kernel(
+    M: IntMatrix, eigenvalue: GoldenNumber
+) -> Optional[tuple[GoldenNumber, list[GoldenNumber]]]:
+    """(D, x) with x a nonzero solution of (M - lambda I) x = 0 in Z[phi], or
+    None when lambda is not an eigenvalue of M.  Every step is over the
+    integers.
+
+    For an integer lambda = a, x is the fraction-free kernel vector of
+    M - a I and D its last pivot.  For lambda = a + b*phi with b != 0, lambda
+    and its conjugate lambda' = (a + b) - b*phi are the roots of
+    t^2 - (2a + b) t + norm(lambda), so q(M) = (M - lambda I)(M - lambda' I)
+    is an integer matrix; x = (M - lambda' I) u for the fraction-free kernel
+    vector u of q(M), and D is x's last nonzero entry.  Then
+    (M - lambda I) x = q(M) u = 0, and x != 0: a rational u with
+    (M - lambda' I) u = 0 would, by conjugation, also solve
+    (M - lambda I) u = 0.  q(M) is singular exactly when lambda is an
+    eigenvalue, since an integer matrix has lambda' as an eigenvalue exactly
+    when it has lambda.
+
+    When the kernel of M - lambda I is a line, x / D is the vector that
+    elimination over the field Q(phi) gives: 1 in the first free column,
+    which is the last column where a kernel vector is nonzero.  For an
+    irrational lambda whose eigenspace has dimension 2 or more, x is some
+    nonzero vector of that eigenspace.
+    """
+    M.n  # raises ValueError unless M is square
+    a, b = eigenvalue.a, eigenvalue.b
+    if b == 0:
+        kernel = _fraction_free_kernel(
+            [[e - a if i == j else e for j, e in enumerate(row)] for i, row in enumerate(M.rows)]
+        )
+        if kernel is None:
+            return None
+        d, u = kernel
+        return GoldenNumber(d), [GoldenNumber(e) for e in u]
+    s, p = 2 * a + b, eigenvalue.norm()
+    cols = list(zip(*M.rows))
+    q = [
+        [sum(map(mul, row, col)) - s * e + (p if i == j else 0)
+         for j, (e, col) in enumerate(zip(row, cols))]
+        for i, row in enumerate(M.rows)
+    ]
+    kernel = _fraction_free_kernel(q)
+    if kernel is None:
+        return None
+    _, u = kernel
+    c = a + b
+    x = [GoldenNumber(sum(map(mul, row, u)) - c * e, b * e) for row, e in zip(M.rows, u)]
+    return next(g for g in reversed(x) if not g.is_zero()), x
 
 
 def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRational]]:

@@ -8,7 +8,11 @@ reference:
 It writes one file per case in CASES to tests/data/, each a certificate
 without its wall-clock timestamps, and fallback_U_auto_e1-first.json: U's
 certificate under the auto plan with e1 tried before e2, together with the
-number of derive() calls that run made.
+number of derive() calls that run made.  With ``--check`` it writes nothing,
+compares every file with what this tree computes, and exits 1 naming the
+files that differ:
+
+    PYTHONPATH=src python3 tests/data/record_certificates.py --check
 """
 
 from __future__ import annotations
@@ -60,13 +64,35 @@ def _e1_first() -> dict:
     return {"certificate": doc, "deriveCalls": calls}
 
 
-def main() -> int:
-    for golden, (name, plan) in CASES.items():
-        (DATA / golden).write_text(_dumps(_certificate(name, plan)))
-    (DATA / "fallback_U_auto_e1-first.json").write_text(_dumps(_e1_first()))
-    print(f"wrote {len(CASES) + 1} files to {DATA}", file=sys.stderr)
+def _documents() -> dict:
+    """Each golden file's name and a function computing its text."""
+    docs = {
+        golden: (lambda name=name, plan=plan: _dumps(_certificate(name, plan)))
+        for golden, (name, plan) in CASES.items()
+    }
+    docs["fallback_U_auto_e1-first.json"] = lambda: _dumps(_e1_first())
+    return docs
+
+
+def main(argv: list[str]) -> int:
+    docs = _documents()
+    if argv == ["--check"]:
+        differ = [
+            golden for golden, make in docs.items()
+            if not (DATA / golden).is_file() or (DATA / golden).read_text() != make()
+        ]
+        for golden in differ:
+            print(f"differs: {golden}", file=sys.stderr)
+        print(f"{len(docs) - len(differ)} of {len(docs)} files match", file=sys.stderr)
+        return 1 if differ else 0
+    if argv:
+        print("usage: record_certificates.py [--check]", file=sys.stderr)
+        return 2
+    for golden, make in docs.items():
+        (DATA / golden).write_text(make())
+    print(f"wrote {len(docs)} files to {DATA}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

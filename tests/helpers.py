@@ -36,8 +36,12 @@ def relabel(ts: WangTileSet, vertical: dict[str, str], horizontal: dict[str, str
 def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
     """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
 
-    The library's fraction-free integer kernel vector, divided once by its
-    entry in the first free column, which becomes 1.
+    The library's integer kernel vector x divided once by D, the entry that
+    _integer_kernel returns with it: x's entry in the first free column of
+    M - a I for an integer lambda = a, x's last nonzero entry otherwise.
+    When the kernel is a line, both make the vector that elimination over
+    Q(phi) gives, 1 in its first free column; for an irrational lambda with
+    a larger eigenspace the result is some vector of that eigenspace.
     """
     kernel = spectral._integer_kernel(M, eigenvalue)
     if kernel is None:

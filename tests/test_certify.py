@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
 from wangtiles import derivation, solver
-from wangtiles.certify import certify
+from wangtiles.certify import _now, certify
 from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import CompositionError
@@ -382,3 +386,45 @@ def test_d4_images_under_auto(name, symmetry):
         cert = certify(image, name, "auto")
     if symmetry in ("identity", "diagonal"):
         assert cert.all_verified()
+
+
+def test_timestamps_are_iso_8601_at_utc():
+    cert = certify(U, "U", "auto")
+    started = datetime.fromisoformat(cert.started)
+    finished = datetime.fromisoformat(cert.finished)
+    assert started.utcoffset() == finished.utcoffset() == timedelta(0)
+    assert started <= finished
+
+
+@pytest.mark.parametrize("ns", [0, 999, 1_000, 1_600_000_000 * 10**9, 1_792_000_123_456_789_012])
+def test_now_writes_what_datetime_isoformat_writes(monkeypatch, ns):
+    # Microseconds are left out when they are zero, as isoformat does.
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    assert _now() == (epoch + timedelta(microseconds=ns // 1000)).isoformat()
+
+
+_RECORDER = DATA / "record_certificates.py"
+_spec = importlib.util.spec_from_file_location("record_certificates", _RECORDER)
+recorded = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorded)
+
+
+def test_check_mode_passes_on_the_golden_certificates():
+    assert recorded.main(["--check"]) == 0
+
+
+def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    for path in DATA.glob("*.json"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "certificate_W_auto.json").write_text("stale")
+    (tmp_path / "fallback_U_auto_e1-first.json").unlink()
+    monkeypatch.setattr(recorded, "DATA", tmp_path)
+    assert recorded.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "differs: certificate_W_auto.json" in err
+    assert "differs: fallback_U_auto_e1-first.json" in err
+    assert "differs: certificate_U_auto.json" not in err
+    assert "2 of 4 files match" in err
+    assert (tmp_path / "certificate_W_auto.json").read_text() == "stale"
+    assert not (tmp_path / "fallback_U_auto_e1-first.json").exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wangtiles import spectral
 from wangtiles.corpus import builtin
 from wangtiles.morphism import frequencies, incidence_matrix
 from wangtiles.spectral import (
@@ -548,6 +549,18 @@ def _random_primitive(rng, n):
             return IntMatrix(rows)
 
 
+FIB = [[0, 1], [1, 1]]
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - len(b)) for r in b]
+        at += len(b)
+    return IntMatrix(rows)
+
+
 class TestAgainstSympy:
     """char_poly, golden_kernel_vector and exact_perron_frequencies against
     sympy's charpoly and its nullspace over the field Q(sqrt 5)."""
@@ -647,3 +660,64 @@ class TestAgainstSympy:
                 other_top += 1
                 with pytest.raises(ValueError):
                     exact_perron_frequencies(M)
+
+    def test_irrational_eigenvalues_with_a_plane_of_eigenvectors(self):
+        # block-diag(F, F) for F = [[0, 1], [1, 1]]: phi and 1 - phi are
+        # eigenvalues, each with a plane of eigenvectors, and x is some
+        # nonzero vector of that plane; 2 + phi is no eigenvalue.
+        for M in (_block_diagonal(FIB, FIB), _permuted(_block_diagonal(FIB, FIB, [[2]]), 5)):
+            for lam in (PHI, GoldenNumber(1, -1)):
+                self.check_kernel(M, lam)
+            assert self.check_kernel(M, GoldenNumber(2, 1)) is None
+
+    def test_random_golden_blocks_with_repeated_roots(self):
+        # P [[F, 0, 0], [C, F', 0], [C', C'', R]] P^T with F, F' taken from
+        # matrices with the eigenvalues phi, 1 - phi (or their squares):
+        # the eigenspace of such a root is a line or a plane, by the
+        # coupling C; R is a random triangular block.  Only the irrational
+        # guesses take the q(M) path.
+        rng = random.Random(80)
+        blocks = ([[0, 1], [1, 1]], [[1, 1], [1, 0]], [[1, 1], [1, 2]], [[2, 1], [1, 1]])
+        for _ in range(15):
+            F, G = rng.choice(blocks), rng.choice(blocks)
+            m = rng.randint(0, 2)
+            R = [[rng.randint(-1, 2) if j >= i else 0 for j in range(m)] for i in range(m)]
+            rows = [F[0] + [0] * (2 + m), F[1] + [0] * (2 + m)]
+            rows += [[rng.choice((0, 0, 1)) for _ in range(2)] + g + [0] * m for g in G]
+            rows += [[rng.randint(-1, 1) for _ in range(4)] + r for r in R]
+            M = _permuted(IntMatrix(rows), rng.randrange(1000))
+            for lam in GUESSES + [GoldenNumber(2, 1), GoldenNumber(3, -1)]:
+                if lam.b:
+                    self.check_kernel(M, lam)
+
+
+class TestIntegerKernelContract:
+    """_integer_kernel(M, lambda) returns (D, x): x a nonzero vector of
+    Z[phi]^n with M x == lambda x, and D its last nonzero entry when lambda
+    is irrational."""
+
+    def test_plane_eigenspace(self):
+        M = _block_diagonal(FIB, FIB)
+        for lam in (PHI, GoldenNumber(1, -1)):
+            d, x = spectral._integer_kernel(M, lam)
+            assert any(not g.is_zero() for g in x)
+            assert golden_eigencheck(M, lam, x)
+            assert d == next(g for g in reversed(x) if not g.is_zero())
+
+    def test_non_eigenvalues(self):
+        M = _block_diagonal(FIB, FIB)
+        for lam in (GoldenNumber(2, 1), PHI ** 2, GoldenNumber(2, 0)):
+            assert spectral._integer_kernel(M, lam) is None
+
+    def test_perron_vectors_of_omega_powers(self):
+        M = incidence_matrix(builtin("omega").payload)
+        for k in range(1, 6):
+            A = _permuted(mat_pow(M, k), k)
+            d, x = spectral._integer_kernel(A, PHI ** (2 * k))
+            assert golden_eigencheck(A, PHI ** (2 * k), x)
+            assert d == next(g for g in reversed(x) if not g.is_zero())
+            assert all(float(g) * float(d) > 0 for g in x)  # a Perron vector
+
+    def test_non_square_matrix_refused(self):
+        with pytest.raises(ValueError, match="not square"):
+            spectral._integer_kernel(IntMatrix([[1, 2, 3], [4, 5, 6]]), PHI)

@@ -56,6 +56,23 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_datetime():
+    """Certificates take their UTC timestamps from time, which every
+    interpreter has loaded, so importing the package and certifying a set
+    leave datetime unloaded."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wangtiles;"
+        "from wangtiles.certify import certify; from wangtiles.corpus import builtin;"
+        "certify(builtin('U').payload, 'U', 'auto').to_json();"
+        "print('datetime' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_spectral_imports_nothing_from_the_package():
     tree = ast.parse((PACKAGE / "spectral.py").read_text())
     inside = [
