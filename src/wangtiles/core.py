@@ -139,13 +139,16 @@ def fuse(u: WangTile, v: WangTile, direction: int) -> Optional[WangTile]:
     raise ValueError(f"direction must be 1 or 2, got {direction}")
 
 
-class WangTileSet:
+class WangTileSet(Frozen):
     """An ordered, duplicate-free collection of Wang tiles.
 
     Tile indices are stable: ``ts[i]`` is the i-th tile in construction
     order.  Vertical colors (left and right edges) and horizontal colors
-    (top and bottom edges) are recomputed on construction.
+    (top and bottom edges) are recomputed on construction.  Frozen, yet it
+    writes its own value methods: its hash is computed once.
     """
+
+    __slots__ = ("_tiles", "_index", "_hash", "vertical_colors", "horizontal_colors")
 
     def __init__(self, tiles: Iterable[WangTile]):
         tiles = tuple(tiles)
@@ -154,12 +157,16 @@ class WangTileSet:
             if t in seen:
                 raise ValueError(f"duplicate tile {t.as_tuple()} at indices {seen[t]} and {i}")
             seen[t] = i
-        self._tiles = tiles
-        self._index = seen
+        object.__setattr__(self, "_tiles", tiles)
+        object.__setattr__(self, "_index", seen)
         # Tile sets key the solver's per-set tables, so they are hashed often.
-        self._hash = hash(tiles)
-        self.vertical_colors = frozenset(c for t in tiles for c in (t.left, t.right))
-        self.horizontal_colors = frozenset(c for t in tiles for c in (t.top, t.bottom))
+        object.__setattr__(self, "_hash", hash(tiles))
+        object.__setattr__(
+            self, "vertical_colors", frozenset(c for t in tiles for c in (t.left, t.right))
+        )
+        object.__setattr__(
+            self, "horizontal_colors", frozenset(c for t in tiles for c in (t.top, t.bottom))
+        )
 
     def __len__(self) -> int:
         return len(self._tiles)
@@ -224,9 +231,12 @@ def emit_tileset(ts: WangTileSet) -> str:
 
 
 class Equivalence(Frozen):
-    """Witness that two tile sets are equal up to color relabeling."""
+    """Witness that two tile sets are equal up to color relabeling.
+
+    Its fields are dicts, so it is unhashable."""
 
     __slots__ = _fields = ("vertical", "horizontal", "tile_map")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self, vertical: dict[str, str], horizontal: dict[str, str], tile_map: dict[int, int]

@@ -1,6 +1,6 @@
 """Exact integer and golden-ratio arithmetic for spectral verification.
 
-A leaf module: it imports nothing from the package.  Everything is arbitrary
+It imports only core, for the Frozen value base.  Everything is arbitrary
 precision: matrices over the integers, polynomials over the integers, and
 numbers a + b*phi in the quadratic ring Z[phi] with phi**2 = phi + 1.
 Floating point appears only in ``perron``, the float Perron root from which
@@ -21,30 +21,31 @@ from math import gcd, sqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from .core import Frozen
+
 PHI_FLOAT = (1 + sqrt(5)) / 2
 
 
-class IntMatrix:
+class IntMatrix(Frozen):
     """A matrix of Python integers; spectral operations require it square."""
 
+    __slots__ = ("rows", "nrows", "ncols")
+    _fields = ("rows",)
+
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", ncols)
 
     @property
     def n(self) -> int:
         if self.nrows != self.ncols:
             raise ValueError("matrix is not square")
         return self.nrows
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols})"
@@ -67,20 +68,16 @@ class IntMatrix:
         return all(a >= 0 for row in self.rows for a in row)
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Integer polynomial, coefficients ascending by degree."""
+
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -205,36 +202,17 @@ def is_primitive(M: IntMatrix) -> Optional[int]:
     return None
 
 
-class GoldenNumber:
+class GoldenNumber(Frozen):
     """Element a + b*phi of Z[phi], phi**2 = phi + 1.
 
-    Immutable: assigning or deleting an attribute raises AttributeError (the
-    package's other value classes get this from core.Frozen, but this module
-    imports nothing from the package).  Equality and hashing go by (a, b).
+    A frozen value: equality and hashing go by (a, b).
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: int = 0, b: int = 0):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (GoldenNumber, (self.a, self.b))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __add__(self, other: "GoldenNumber") -> "GoldenNumber":
         return GoldenNumber(self.a + other.a, self.b + other.b)
@@ -295,15 +273,15 @@ GOLDEN_ONE = GoldenNumber(1, 0)
 GOLDEN_ZERO = GoldenNumber(0, 0)
 
 
-class GoldenRational:
+class GoldenRational(Frozen):
     """Quotient of a GoldenNumber by a positive integer, kept in lowest terms.
 
     Z[phi] is a PID in which phi is a unit, so quotients of golden numbers
-    reduce to this shape after multiplying by the conjugate.  Immutable, like
-    GoldenNumber; equality and hashing go by (num, den).
+    reduce to this shape after multiplying by the conjugate.  A frozen value:
+    equality and hashing go by (num, den).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
 
     def __init__(self, num: GoldenNumber = GOLDEN_ZERO, den: int = 1):
         if den == 0:
@@ -316,23 +294,6 @@ class GoldenRational:
             den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    __setattr__ = GoldenNumber.__setattr__
-    __delattr__ = GoldenNumber.__delattr__
-
-    def __reduce__(self):
-        return (GoldenRational, (self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"GoldenRational(num={self.num!r}, den={self.den!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     @staticmethod
     def of(g: GoldenNumber) -> "GoldenRational":
@@ -444,10 +405,9 @@ def recognize_golden(x: float, max_b: int = 64) -> Optional[GoldenNumber]:
     return None
 
 
-def _fraction_free_kernel(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
-    """(D, u) with u a nonzero integer solution of A u = 0, or None when the
-    square integer matrix A, given as ``rows`` and overwritten, is
-    nonsingular.
+def _fraction_free_kernel(rows: list[list[int]]) -> Optional[list[int]]:
+    """A nonzero integer solution u of A u = 0, or None when the square
+    integer matrix A, given as ``rows`` and overwritten, is nonsingular.
 
     Fraction-free Gauss-Jordan elimination (Bareiss 1968): each non-pivot row
     becomes (p*x - f*y) // q for the pivot p and the previous pivot q, and
@@ -485,44 +445,37 @@ def _fraction_free_kernel(rows: list[list[int]]) -> Optional[tuple[int, list[int
     u[free] = q
     for row, c in zip(rows, pivots):
         u[c] = -row[free]
-    return q, u
+    return u
 
 
-def _integer_kernel(
-    M: IntMatrix, eigenvalue: GoldenNumber
-) -> Optional[tuple[GoldenNumber, list[GoldenNumber]]]:
-    """(D, x) with x a nonzero solution of (M - lambda I) x = 0 in Z[phi], or
-    None when lambda is not an eigenvalue of M.  Every step is over the
-    integers.
+def _integer_kernel(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenNumber]]:
+    """A nonzero solution x of (M - lambda I) x = 0 in Z[phi], or None when
+    lambda is not an eigenvalue of M.  Every step is over the integers.
 
     For an integer lambda = a, x is the fraction-free kernel vector of
-    M - a I and D its last pivot.  For lambda = a + b*phi with b != 0, lambda
-    and its conjugate lambda' = (a + b) - b*phi are the roots of
-    t^2 - (2a + b) t + norm(lambda), so q(M) = (M - lambda I)(M - lambda' I)
-    is an integer matrix; x = (M - lambda' I) u for the fraction-free kernel
-    vector u of q(M), and D is x's last nonzero entry.  Then
-    (M - lambda I) x = q(M) u = 0, and x != 0: a rational u with
+    M - a I.  For lambda = a + b*phi with b != 0, lambda and its conjugate
+    lambda' = (a + b) - b*phi are the roots of t^2 - (2a + b) t + norm(lambda),
+    so q(M) = (M - lambda I)(M - lambda' I) is an integer matrix, and
+    x = (M - lambda' I) u for the fraction-free kernel vector u of q(M).
+    Then (M - lambda I) x = q(M) u = 0, and x != 0: a rational u with
     (M - lambda' I) u = 0 would, by conjugation, also solve
     (M - lambda I) u = 0.  q(M) is singular exactly when lambda is an
     eigenvalue, since an integer matrix has lambda' as an eigenvalue exactly
     when it has lambda.
 
-    When the kernel of M - lambda I is a line, x / D is the vector that
-    elimination over the field Q(phi) gives: 1 in the first free column,
-    which is the last column where a kernel vector is nonzero.  For an
-    irrational lambda whose eigenspace has dimension 2 or more, x is some
-    nonzero vector of that eigenspace.
+    When the kernel of M - lambda I is a line, x divided by its last nonzero
+    entry is the vector that elimination over the field Q(phi) gives: 1 in
+    the first free column, which is the last column where a kernel vector is
+    nonzero.  For an irrational lambda whose eigenspace has dimension 2 or
+    more, x is some nonzero vector of that eigenspace.
     """
     M.n  # raises ValueError unless M is square
     a, b = eigenvalue.a, eigenvalue.b
     if b == 0:
-        kernel = _fraction_free_kernel(
+        u = _fraction_free_kernel(
             [[e - a if i == j else e for j, e in enumerate(row)] for i, row in enumerate(M.rows)]
         )
-        if kernel is None:
-            return None
-        d, u = kernel
-        return GoldenNumber(d), [GoldenNumber(e) for e in u]
+        return None if u is None else [GoldenNumber(e) for e in u]
     s, p = 2 * a + b, eigenvalue.norm()
     cols = list(zip(*M.rows))
     q = [
@@ -530,13 +483,11 @@ def _integer_kernel(
          for j, (e, col) in enumerate(zip(row, cols))]
         for i, row in enumerate(M.rows)
     ]
-    kernel = _fraction_free_kernel(q)
-    if kernel is None:
+    u = _fraction_free_kernel(q)
+    if u is None:
         return None
-    _, u = kernel
     c = a + b
-    x = [GoldenNumber(sum(map(mul, row, u)) - c * e, b * e) for row, e in zip(M.rows, u)]
-    return next(g for g in reversed(x) if not g.is_zero()), x
+    return [GoldenNumber(sum(map(mul, row, u)) - c * e, b * e) for row, e in zip(M.rows, u)]
 
 
 def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRational]]:
@@ -557,10 +508,9 @@ def _exact_perron(M: IntMatrix, value: float) -> tuple[GoldenNumber, list[Golden
     lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
     if lam is None:
         raise ValueError(f"dominant eigenvalue {value} not recognized in Z[phi]")
-    kernel = _integer_kernel(M, lam)
-    if kernel is None:
+    x = _integer_kernel(M, lam)
+    if x is None:
         raise ValueError(f"{lam.pretty()} is not an exact eigenvalue")
-    _, x = kernel
     if not golden_eigencheck(M, lam, x):
         raise ValueError(f"kernel vector fails M x == ({lam.pretty()}) x")
     total = GoldenRational.of(sum(x, GOLDEN_ZERO))

@@ -13,7 +13,7 @@ from wangtiles.corpus import NamedArtifact
 from wangtiles.derivation import Derivation, MarkerReport, MarkerSet
 from wangtiles.morphism import Morphism2d, Word2d
 from wangtiles.render import StoneGeometry
-from wangtiles.spectral import GoldenNumber, GoldenRational, IntMatrix
+from wangtiles.spectral import GoldenNumber, GoldenRational, IntMatrix, IntPolynomial
 
 
 def identity_morphism(ts: WangTileSet) -> Morphism2d:
@@ -36,18 +36,18 @@ def relabel(ts: WangTileSet, vertical: dict[str, str], horizontal: dict[str, str
 def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
     """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
 
-    The library's integer kernel vector x divided once by D, the entry that
-    _integer_kernel returns with it: x's entry in the first free column of
-    M - a I for an integer lambda = a, x's last nonzero entry otherwise.
-    When the kernel is a line, both make the vector that elimination over
-    Q(phi) gives, 1 in its first free column; for an irrational lambda with
-    a larger eigenspace the result is some vector of that eigenspace.
+    The library's integer kernel vector x divided once by its last nonzero
+    entry.  For an integer lambda = a that entry is x's pivot in the first
+    free column of M - a I, since in reduced echelon form every later pivot
+    row is zero in that column.  When the kernel is a line, the result is
+    the vector that elimination over Q(phi) gives, 1 in its first free
+    column; for an irrational lambda with a larger eigenspace it is some
+    vector of that eigenspace.
     """
-    kernel = spectral._integer_kernel(M, eigenvalue)
-    if kernel is None:
+    x = spectral._integer_kernel(M, eigenvalue)
+    if x is None:
         return None
-    d, x = kernel
-    den = GoldenRational.of(d)
+    den = GoldenRational.of(next(g for g in reversed(x) if not g.is_zero()))
     return [GoldenRational.of(g) / den for g in x]
 
 
@@ -89,6 +89,8 @@ def value_samples() -> dict[str, object]:
         ),
         "GoldenNumber": GoldenNumber(2, -3),
         "GoldenRational": GoldenRational(GoldenNumber(2, 4), -6),
+        "IntMatrix": IntMatrix([[1, 2, 3], [4, 5, 6]]),
+        "IntPolynomial": IntPolynomial([-1, -1, 1, 0]),
         "Step": Step("claim", {"k": [1, 2]}, "pass"),
         "Certificate": Certificate(
             "U", [Step("claim", {"k": [1, 2]}, "pass")], self_similar=True, started="t0"

@@ -113,6 +113,16 @@ class TestParsing:
         )
         assert out.stdout.strip() == b"True"
 
+    def test_fields_refuse_assignment_and_deletion(self):
+        # Tile sets hash by content and key the solver's tables, so they
+        # cannot change after construction.
+        T = parse_tileset(emit_tileset(U))
+        with pytest.raises(AttributeError):
+            T.vertical_colors = frozenset()
+        with pytest.raises(AttributeError):
+            del T.horizontal_colors
+        assert T == U and T.vertical_colors == U.vertical_colors
+
     def test_whitespace_in_color_refused(self):
         with pytest.raises(ValueError):
             WangTile("A B", "C", "D", "E")
@@ -202,6 +212,10 @@ class TestEquivalence:
 
     def test_size_mismatch(self):
         assert check_equivalence(U, V) is None
+
+    def test_unhashable_by_its_own_name(self):
+        with pytest.raises(TypeError, match="unhashable type: 'Equivalence'"):
+            hash(check_equivalence(U, W))
 
     def test_symmetry(self):
         forward = check_equivalence(U, W)

@@ -1,7 +1,9 @@
 """The package runs on the standard library alone, and its imports are layered:
-every import sits at module level, spectral imports nothing from the package,
-no module reads another module's private names, and importing the package
-stays light.  Value semantics are written in one place: core.Value."""
+every import sits at module level, each module imports only modules of lower
+layers (core at the bottom, spectral next, importing only core), no module
+reads another module's private names, and importing the package stays light.
+Value semantics are written in one place, core.Value, and immutability in
+core.Frozen."""
 
 from __future__ import annotations
 
@@ -73,12 +75,76 @@ def test_import_loads_no_datetime():
     assert out.stdout.strip() == "False"
 
 
-def test_spectral_imports_nothing_from_the_package():
-    tree = ast.parse((PACKAGE / "spectral.py").read_text())
-    inside = [
-        node.lineno for node in ast.walk(tree) if set(_imported(node)) & {".", "wangtiles"}
+# Each module imports only modules of lower layers.  From the package itself
+# a module may read only __version__, which __init__ binds before it imports
+# any module.
+LAYERS = (
+    ("core",),
+    ("spectral",),
+    ("morphism",),
+    ("solver", "corpus"),
+    ("derivation", "render"),
+    ("certify",),
+    ("suite",),
+    ("cli",),
+)
+LAYER = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, target) for each package module an import statement reads; a
+    name read from the package itself, such as __version__, is its own target."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "wangtiles":
+                    continue
+                path = path[1:]
+            if path and path[0]:
+                found.append((node.lineno, path[0]))
+            else:
+                found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "wangtiles":
+                    found.append((node.lineno, path[1] if len(path) > 1 else "wangtiles"))
+    return found
+
+
+def _upward_imports(name: str, tree: ast.Module) -> list[str]:
+    """The imports of module ``name`` that read a module of its own layer or
+    a higher one, or a name of the package other than __version__."""
+    layer = LAYER[name.removesuffix(".py")]
+    return [
+        f"{name}:{line}: {target}"
+        for line, target in _package_imports(tree)
+        if target != "__version__" and LAYER.get(target, len(LAYERS)) >= layer
     ]
-    assert inside == []
+
+
+def test_each_module_imports_only_lower_layers():
+    assert set(LAYER) == MODULES - {"__init__"}
+    upward = [
+        line for name, tree in _modules() if name != "__init__.py"
+        for line in _upward_imports(name, tree)
+    ]
+    assert upward == []
+
+
+def test_layer_guard_catches_an_upward_import():
+    for source in (
+        "from .morphism import Word2d",
+        "from . import solver",
+        "from . import WangTile",
+        "import wangtiles.cli",
+        "from wangtiles.spectral import IntMatrix",
+    ):
+        assert len(_upward_imports("spectral.py", ast.parse(source))) == 1, source
+    assert _upward_imports("spectral.py", ast.parse("from .core import Frozen")) == []
 
 
 def test_no_import_inside_a_function():
@@ -174,22 +240,26 @@ def test_every_definition_is_referenced():
     assert unread == []
 
 
-VALUE_METHODS = ("__eq__", "__hash__", "__reduce__")
-# The classes that may write VALUE_METHODS themselves: the shared base, and the
-# tile set with its cached hash.  spectral imports nothing from the package, so
-# its classes write their own.
-VALUE_METHOD_OWNERS = {("core.py", "Value"), ("core.py", "WangTileSet")}
+# The classes that may write each value method themselves: the shared base and
+# the tile set with its cached hash write equality, hashing and pickling;
+# Frozen alone refuses assignment and deletion.
+_CONTENT = {("core.py", "Value"), ("core.py", "WangTileSet")}
+VALUE_METHOD_OWNERS = {
+    "__eq__": _CONTENT,
+    "__hash__": _CONTENT,
+    "__reduce__": _CONTENT,
+    "__setattr__": {("core.py", "Frozen")},
+    "__delattr__": {("core.py", "Frozen")},
+}
 
 
 def _written_value_methods(name: str, tree: ast.Module) -> list[str]:
-    """Every class of the module that defines or assigns one of VALUE_METHODS,
-    other than the owners; ``__hash__ = None``, which makes a class unhashable,
-    is allowed anywhere."""
-    if name == "spectral.py":
-        return []
+    """Every class of the module that defines or assigns a method of
+    VALUE_METHOD_OWNERS without being one of its owners; ``__hash__ = None``,
+    which makes a class unhashable, is allowed anywhere."""
     found = []
     for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef) or (name, cls.name) in VALUE_METHOD_OWNERS:
+        if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -201,7 +271,9 @@ def _written_value_methods(name: str, tree: ast.Module) -> list[str]:
             else:
                 continue
             found += [
-                f"{name}:{node.lineno}: {cls.name}.{t}" for t in targets if t in VALUE_METHODS
+                f"{name}:{node.lineno}: {cls.name}.{t}"
+                for t in targets
+                if t in VALUE_METHOD_OWNERS and (name, cls.name) not in VALUE_METHOD_OWNERS[t]
             ]
     return found
 

@@ -6,16 +6,19 @@ added to the samples later, when each wrote its own methods out."""
 from __future__ import annotations
 
 import copy
+import importlib
 import operator
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
 
 import pytest
 
-from wangtiles.core import WangTile
+import wangtiles
+from wangtiles.core import Frozen, Value, WangTile
 from wangtiles.morphism import Word2d
 
 from helpers import value_samples
@@ -34,6 +37,8 @@ FIELDS = {
     "StoneGeometry": ("widths", "heights"),
     "GoldenNumber": ("a", "b"),
     "GoldenRational": ("num", "den"),
+    "IntMatrix": ("rows",),
+    "IntPolynomial": ("coeffs",),
     "Step": ("claim", "evidence", "status"),
     "Certificate": (
         "subject", "steps", "self_similar", "aperiodic", "minimal", "started", "finished"
@@ -42,8 +47,8 @@ FIELDS = {
 
 MUTABLE = ["Step", "Certificate"]
 FROZEN = [name for name in NAMES if name not in MUTABLE]
-# Step and Certificate are mutable, so unhashable; an Equivalence holds dicts,
-# so hashing one fails on its fields.
+# Step and Certificate are mutable and an Equivalence holds dicts, so all three
+# declare themselves unhashable.
 UNHASHABLE = MUTABLE + ["Equivalence"]
 HASHABLE = [name for name in NAMES if name not in UNHASHABLE]
 
@@ -80,6 +85,8 @@ REPRS = {
     ),
     "GoldenNumber": "GoldenNumber(2, -3)",
     "GoldenRational": "GoldenRational(num=GoldenNumber(-1, -2), den=3)",
+    "IntMatrix": "IntMatrix(2x3)",
+    "IntPolynomial": "IntPolynomial([-1, -1, 1])",
     "Step": "Step(claim='claim', evidence={'k': [1, 2]}, status='pass')",
     "Certificate": (
         "Certificate(subject='U', steps=[Step(claim='claim', evidence={'k': [1, 2]}, "
@@ -142,6 +149,29 @@ def test_frozen_fields_refuse_assignment_and_deletion(name):
         with pytest.raises(AttributeError):
             delattr(x, f)
         assert getattr(x, f) is before
+
+
+def _package_classes() -> list[type]:
+    """Every class defined at the top level of a module of the package."""
+    classes = []
+    for info in pkgutil.iter_modules(wangtiles.__path__):
+        module = importlib.import_module(f"wangtiles.{info.name}")
+        classes += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+    return classes
+
+
+def test_every_class_that_hashes_by_content_is_frozen():
+    """A class whose instances hash by content cannot change after
+    construction; Value, the base, is exempt."""
+    hashed = [
+        cls for cls in _package_classes()
+        if cls.__hash__ not in (None, object.__hash__) and cls is not Value
+    ]
+    assert {"WangTileSet", "IntMatrix", "GoldenNumber"} <= {cls.__name__ for cls in hashed}
+    assert [cls.__qualname__ for cls in hashed if not issubclass(cls, Frozen)] == []
 
 
 def test_certificate_fields_can_be_assigned():
