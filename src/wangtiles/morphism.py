@@ -243,21 +243,18 @@ def frequencies(m: Morphism2d) -> tuple[list[GoldenRational], list[float]]:
     return exact, [float(f) for f in exact]
 
 
-# iterate() and factors_2x2() refuse a word of more cells than this before
-# building any of it.  2**22 cells hold about 32 MB of cell references.
+# _shapes() refuses a step that would bring the cells built, summed over the
+# steps so far, past this, so iterate() and factors_2x2() refuse before they
+# build anything.  2**22 cells hold about 32 MB of cell references.  Every
+# letter of omega passes at level 15 (words of at most 1597x1597 cells, at
+# most 4,126,646 cells built); at level 16 only letters 0 and 1 pass, and
+# from level 17 none.  A word that grows by one cell a step is refused at its
+# step 2,895: it stays small, but its work grows with the square of the steps.
 MAX_ITERATE_CELLS = 1 << 22
-# iterate() also refuses, before building anything, once the cells of the
-# steps it builds one by one sum past this.  A word that grows by one cell a
-# step stays under the cell limit for millions of steps, but its work grows
-# with their square.  Every letter of omega passes at level 15 (words of at
-# most 1597x1597 cells, at most 4,126,646 cells built); at level 16 only
-# letters 0 and 1 pass, and from level 17 none.
-MAX_ITERATE_WORK = 1 << 22
 
 
 class IterateTooLarge(ValueError):
-    """An iterate whose word would have more than MAX_ITERATE_CELLS cells, or
-    whose steps would build more than MAX_ITERATE_WORK cells in all."""
+    """An iterate whose steps would build more than MAX_ITERATE_CELLS cells in all."""
 
 
 def _shapes(m: Morphism2d, letter: int) -> Iterator[tuple[int, int]]:
@@ -271,18 +268,25 @@ def _shapes(m: Morphism2d, letter: int) -> Iterator[tuple[int, int]]:
     to the bottom of its 1-wide image, and a map on N letters brings each
     letter into its cycle within N steps; likewise for the height.  So a
     shape kept for N + 1 steps in a row is kept for good, and the generator
-    stops there.
+    stops there.  It raises IterateTooLarge instead of yielding a shape that
+    would bring the cells of all the shapes yielded past MAX_ITERATE_CELLS.
     """
     bottom = [[col[0] for col in im.columns] for im in m.images]
     left = [im.columns[0] for im in m.images]
     row: dict[int, int] = {letter: 1}
     column: dict[int, int] = {letter: 1}
-    shape, kept = (1, 1), 0
+    shape, kept, built, k = (1, 1), 0, 0, 0
     while kept <= len(m.domain):
         row, column = _image_counts(row, bottom), _image_counts(column, left)
         grown = (sum(row.values()), sum(column.values()))
         kept = kept + 1 if grown == shape else 0
-        shape = grown
+        shape, k = grown, k + 1
+        built += shape[0] * shape[1]
+        if built > MAX_ITERATE_CELLS:
+            raise IterateTooLarge(
+                f"iteration step {k} would bring the cells built to {built}, over the"
+                f" limit of {MAX_ITERATE_CELLS}"
+            )
         yield shape
 
 
@@ -292,14 +296,6 @@ def _image_counts(counts: dict[int, int], edges: list) -> dict[int, int]:
         for b in edges[a]:
             out[b] = out.get(b, 0) + c
     return out
-
-
-def _refuse_over_limit(k: int, shape: tuple[int, int]) -> None:
-    if shape[0] * shape[1] > MAX_ITERATE_CELLS:
-        raise IterateTooLarge(
-            f"iteration step {k} would build a {shape[0]}x{shape[1]} word, over the"
-            f" limit of {MAX_ITERATE_CELLS} cells"
-        )
 
 
 def _renaming(m: Morphism2d, j: int) -> list[int]:
@@ -317,13 +313,13 @@ def _renaming(m: Morphism2d, j: int) -> list[int]:
 def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
     """n-fold application starting from the 1x1 word on the letter.
 
-    Raises IterateTooLarge, before building anything, when the word would
-    have more than MAX_ITERATE_CELLS cells, or the steps built one by one
-    more than MAX_ITERATE_WORK cells in all.  Once the shape has been kept
-    for N + 1 steps in a row (N letters), it is kept for good, and each step
-    renames every cell by its letter's 1x1 image: the remaining steps are
-    one renaming.  Where that meets a letter whose image is not 1x1, the
-    steps go on one by one, and apply raises DomainError within N of them.
+    Raises IterateTooLarge, before building anything, when the steps built
+    one by one would build more than MAX_ITERATE_CELLS cells in all.  The
+    steps _shapes yields are built one by one; past them the shape is kept
+    for good, and each step renames every cell by its letter's 1x1 image:
+    the remaining steps are one renaming.  Where that meets a letter whose
+    image is not 1x1, the steps go on one by one, and apply raises
+    DomainError within N of them (N letters).
     """
     if m.domain != m.codomain:
         raise ValueError("iteration requires domain == codomain")
@@ -331,29 +327,18 @@ def iterate(m: Morphism2d, letter: int, n: int) -> Word2d:
         raise ValueError(f"letter {letter} outside the domain 0..{len(m.domain) - 1}")
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    built = 0
-    for k, shape in zip(range(1, n + 1), _shapes(m, letter)):
-        _refuse_over_limit(k, shape)
-        built += shape[0] * shape[1]
-        if built > MAX_ITERATE_WORK:
-            raise IterateTooLarge(
-                f"iteration step {k} would bring the cells built to {built}, over the"
-                f" limit of {MAX_ITERATE_WORK}"
-            )
+    growing = sum(1 for _ in zip(range(n), _shapes(m, letter)))
     w = Word2d.letter(letter)
-    kept = 0  # steps in a row that kept the shape
     for k in range(1, n + 1):
-        if kept == len(m.domain) + 1:
+        if k > growing:
             table = _renaming(m, n - k + 1)
             columns = tuple(tuple(table[a] for a in col) for col in w.columns)
             if all(a >= 0 for col in columns for a in col):
                 return Word2d(columns)
         try:
-            image = apply(m, w)
+            w = apply(m, w)
         except DomainError as e:
             raise DomainError(f"assembly failed at iteration step {k}: {e}") from e
-        kept = kept + 1 if image.shape == w.shape else 0
-        w = image
     return w
 
 
@@ -403,8 +388,9 @@ def factors_2x2(m: Morphism2d) -> set[Word2d]:
 
     Phase 1 finds each letter's seed, its first iterate with both sides at
     least 2.  A side still 1 after N steps (N letters) stays 1 for good, so
-    the shapes are looked at for at most N steps, and a seed over
-    MAX_ITERATE_CELLS is refused with IterateTooLarge before it is built.
+    the shapes are looked at for at most N steps, and a seed whose steps
+    would build more than MAX_ITERATE_CELLS cells in all is refused with
+    IterateTooLarge before any of them is built.
     Phase 2 closes the seeds' 2x2 factors under "apply, then take the 2x2
     factors".  Every 2x2 window of m(w) lies in m(f) for some 2x2 factor f
     of w, so this gives the factors of every later iterate too, and it ends
@@ -416,7 +402,6 @@ def factors_2x2(m: Morphism2d) -> set[Word2d]:
     for a in range(len(m.domain)):
         for k, shape in zip(range(1, len(m.domain) + 1), _shapes(m, a)):
             if min(shape) >= 2:
-                _refuse_over_limit(k, shape)
                 w = Word2d.letter(a)
                 for _ in range(k):
                     w = apply(m, w)

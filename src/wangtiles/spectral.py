@@ -111,7 +111,7 @@ class IntPolynomial(Frozen):
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -124,7 +124,7 @@ class IntPolynomial(Frozen):
             if k == 0:
                 body = f"{mag}"
             else:
-                xk = var if k == 1 else f"{var}^{k}"
+                xk = "x" if k == 1 else f"x^{k}"
                 body = xk if mag == 1 else f"{mag}*{xk}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
@@ -229,7 +229,7 @@ class GoldenNumber(Frozen):
 
     def __pow__(self, k: int) -> "GoldenNumber":
         if k < 0:
-            raise ValueError("use GoldenRational for negative powers")
+            raise ValueError(f"negative exponent {k}: only powers k >= 0 are taken")
         result = GoldenNumber(1, 0)
         base = self
         while k:

@@ -139,7 +139,7 @@ class TestOtherSubjects:
 # Certificates recorded before the solver's fast paths went in; every run must
 # reproduce them byte for byte once the wall-clock timestamps are dropped.
 # Re-record them only for an intended change of output (see
-# data/record_certificates.py).
+# data/record_goldens.py).
 @pytest.mark.parametrize(
     "name, plan, golden",
     [
@@ -310,7 +310,7 @@ def test_derive_count(monkeypatch, name, plan, derives):
 
 
 # With e1 tried first, the auto plan takes e1 at step 1 and e2 at step 2, and
-# U still certifies.  tests/data/record_certificates.py records the
+# U still certifies.  tests/data/record_goldens.py records the
 # certificate and the derive() count; the facts the run leaves in the memos
 # hold too.
 def test_u_certifies_with_e1_tried_first(monkeypatch):
@@ -404,27 +404,28 @@ def test_now_writes_what_datetime_isoformat_writes(monkeypatch, ns):
     assert _now() == (epoch + timedelta(microseconds=ns // 1000)).isoformat()
 
 
-_RECORDER = DATA / "record_certificates.py"
-_spec = importlib.util.spec_from_file_location("record_certificates", _RECORDER)
+_RECORDER = DATA / "record_goldens.py"
+_spec = importlib.util.spec_from_file_location("record_goldens", _RECORDER)
 recorded = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(recorded)
 
 
-def test_check_mode_passes_on_the_golden_certificates():
+def test_check_mode_passes_on_the_golden_certificates(capsys):
     assert recorded.main(["--check"]) == 0
+    assert "28 of 28 files match" in capsys.readouterr().err
 
 
 def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    for path in DATA.glob("*.json"):
-        shutil.copy(path, tmp_path)
-    (tmp_path / "certificate_W_auto.json").write_text("stale")
-    (tmp_path / "fallback_U_auto_e1-first.json").unlink()
-    monkeypatch.setattr(recorded, "DATA", tmp_path)
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    (data / "certificate_W_auto.json").write_text("stale")
+    (data / "fallback_U_auto_e1-first.json").unlink()
+    monkeypatch.setattr(recorded, "DATA", data)
     assert recorded.main(["--check"]) == 1
     err = capsys.readouterr().err
     assert "differs: certificate_W_auto.json" in err
     assert "differs: fallback_U_auto_e1-first.json" in err
     assert "differs: certificate_U_auto.json" not in err
-    assert "2 of 4 files match" in err
-    assert (tmp_path / "certificate_W_auto.json").read_text() == "stale"
-    assert not (tmp_path / "fallback_U_auto_e1-first.json").exists()
+    assert "26 of 28 files match" in err
+    assert (data / "certificate_W_auto.json").read_text() == "stale"
+    assert not (data / "fallback_U_auto_e1-first.json").exists()

@@ -168,7 +168,7 @@ class TestIterateAndRender:
     def test_iterate_over_the_cell_limit_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "iterate", "omega", "0", "60")
         assert code == 2 and not out
-        assert err.startswith("error: iteration step 17 would build")
+        assert err.startswith("error: iteration step 17 would bring the cells built")
 
     def test_render_letter(self, capsys):
         code, out, _ = run(capsys, "render", "U", "--letter", "0", "--labels", "colors")

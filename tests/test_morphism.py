@@ -336,28 +336,35 @@ class TestIterateSizeGuard:
 
         monkeypatch.setattr(morphism, "apply", counted)
         monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", 100)
-        with pytest.raises(morphism.IterateTooLarge, match="step 5 would build a 13x8 word"):
+        with pytest.raises(
+            morphism.IterateTooLarge,
+            match="^iteration step 5 would bring the cells built to 167, over the limit of 100$",
+        ):
             iterate(omega, 4, 60)
         assert applied == 0
 
     def test_limit_is_exact(self, monkeypatch):
-        # The predicted shape is the built one: a limit of exactly the
-        # word's cells lets it through, one cell fewer refuses it.
+        # The predicted shapes are the built ones: a limit of exactly the
+        # cells of omega^k(a) for k = 1..n lets omega^n(a) through, and one
+        # cell fewer refuses it.
         for a in range(len(U)):
-            for n in range(6, 11):
-                w = iterate(omega, a, n)
-                cells = w.shape[0] * w.shape[1]
-                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", cells)
+            w, built = Word2d.letter(a), 0
+            for n in range(1, 11):
+                w = apply(omega, w)
+                built += w.shape[0] * w.shape[1]
+                if n < 6:
+                    continue
+                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", built)
                 assert iterate(omega, a, n) == w
-                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", cells - 1)
+                monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", built - 1)
                 with pytest.raises(morphism.IterateTooLarge):
                     iterate(omega, a, n)
                 monkeypatch.undo()
 
     def test_total_work_is_bounded(self, monkeypatch):
         # a -> (a b), b -> b: the word grows by one cell a step, so n steps
-        # build about n^2 / 2 cells while the word stays far under the cell
-        # limit.  The running sum refuses it before anything is built.
+        # build about n^2 / 2 cells while the word itself stays small.  The
+        # running sum refuses it before anything is built.
         applied = 0
         real = morphism.apply
 
@@ -431,9 +438,26 @@ class TestFactors:
 
         monkeypatch.setattr(morphism, "apply", counted)
         monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", 3)
-        with pytest.raises(morphism.IterateTooLarge, match="would build a"):
+        with pytest.raises(morphism.IterateTooLarge, match="would bring the cells built"):
             factors_2x2(omega)
         assert applied == 0
+
+    def test_seed_is_refused_by_the_cells_built_on_the_way_to_it(self, monkeypatch):
+        # Every seed of omega, its first iterate with both sides at least 2,
+        # fits a limit of the largest seed's cells, but the steps to some
+        # seed build more cells than that in all.
+        seeds, built = [], []
+        for a in range(len(U)):
+            w, cells = Word2d.letter(a), 0
+            while min(w.shape) < 2:
+                w = apply(omega, w)
+                cells += w.shape[0] * w.shape[1]
+            seeds.append(w.shape[0] * w.shape[1])
+            built.append(cells)
+        assert max(built) > max(seeds)
+        monkeypatch.setattr(morphism, "MAX_ITERATE_CELLS", max(seeds))
+        with pytest.raises(morphism.IterateTooLarge, match="would bring the cells built"):
+            factors_2x2(omega)
 
     def test_omega_has_50(self):
         F = factors_2x2(omega)
@@ -588,11 +612,28 @@ class TestAgainstReference:
     def test_iterate_matches_reference_far_out(self, m):
         n_letters = len(m.domain)
         for a in range(n_letters):
-            shapes = list(zip(range(64), morphism._shapes(m, a)))
+            try:
+                shapes = list(zip(range(64), morphism._shapes(m, a)))
+            except morphism.IterateTooLarge:
+                continue  # the shape keeps growing past the cell limit
             if len(shapes) == 64 or shapes[-1][1][0] * shapes[-1][1][1] > 4096:
                 continue  # the shape keeps growing: the reference would too
             for n in (10**6, 10**6 + 1):
                 assert outcome(iterate, m, a, n) == outcome(reference_iterate, m, a, n)
+
+    @settings(deadline=None, max_examples=150)
+    @given(small_morphisms())
+    def test_predicted_shapes_are_the_built_ones(self, m):
+        # The cell limit refuses an iterate before it is built only because
+        # each shape _shapes predicts is the shape of the word built.
+        for a in range(len(m.domain)):
+            for k, shape in zip(range(1, 64), morphism._shapes(m, a)):
+                w = outcome(iterate, m, a, k)
+                if w is DomainError:
+                    break
+                assert w.shape == shape, (a, k)
+                if shape[0] * shape[1] > 4096:
+                    break
 
     @settings(deadline=None, max_examples=150)
     @given(small_morphisms())

@@ -31,18 +31,18 @@ SPECIAL = WangTileSet(
     [WangTile("5%", "a_b", "5%", "a_b"), WangTile("{#}", "$^~\\&", "{#}", "$^~\\&")]
 )
 
-_RECORDER = Path(__file__).parent / "data" / "record_renders.py"
-_spec = importlib.util.spec_from_file_location("record_renders", _RECORDER)
+_RECORDER = Path(__file__).parent / "data" / "record_goldens.py"
+_spec = importlib.util.spec_from_file_location("record_goldens", _RECORDER)
 recorded = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(recorded)
 
 
-@pytest.mark.parametrize("name", sorted(recorded.CASES))
+@pytest.mark.parametrize("name", sorted(recorded.RENDERS))
 def test_render_matches_golden_bytes(name):
     # The recorded bytes are the reference; re-record them only for an
-    # intended change of output (see data/record_renders.py).
-    expected = (recorded.RENDERS / name).read_bytes()
-    assert recorded.CASES[name]().encode("utf-8") == expected
+    # intended change of output (see data/record_goldens.py).
+    expected = (recorded.DATA / "renders" / name).read_bytes()
+    assert recorded.RENDERS[name]().encode("utf-8") == expected
 
 
 def test_check_mode_passes_on_the_recorded_bytes():
@@ -50,15 +50,17 @@ def test_check_mode_passes_on_the_recorded_bytes():
 
 
 def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    renders = tmp_path / "renders"
-    shutil.copytree(recorded.RENDERS, renders)
+    data = tmp_path / "data"
+    shutil.copytree(recorded.DATA, data)
+    renders = data / "renders"
     (renders / "svg_index.svg").write_bytes(b"stale")
     (renders / "tikz_index.tex").unlink()
-    monkeypatch.setattr(recorded, "RENDERS", renders)
+    monkeypatch.setattr(recorded, "DATA", data)
     assert recorded.main(["--check"]) == 1
     err = capsys.readouterr().err
-    assert "differs: svg_index.svg" in err and "differs: tikz_index.tex" in err
-    assert "differs: svg_colors.svg" not in err
+    assert "differs: renders/svg_index.svg" in err and "differs: renders/tikz_index.tex" in err
+    assert "differs: renders/svg_colors.svg" not in err
+    assert "26 of 28 files match" in err
     assert (renders / "svg_index.svg").read_bytes() == b"stale"
     assert not (renders / "tikz_index.tex").exists()
 
