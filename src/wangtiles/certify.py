@@ -249,13 +249,24 @@ def certify(T: WangTileSet, subject: str = "tileset", plan: Plan = "auto") -> Ce
                     " direction 1 or 2 and an integer radius >= 0"
                 )
     cert = Certificate(subject=subject, started=_now())
-    _run(T, steps, cert)
+    for claim, evidence, holds in _claims(T, steps, cert):
+        cert.steps.append(Step(claim, evidence, "pass" if holds else "fail"))
+        if not holds:
+            break
     cert.finished = _now()
     return cert
 
 
-def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate) -> None:
-    """Append each step to the certificate, stopping at the first that fails."""
+def _claims(
+    T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certificate
+) -> Iterator[tuple[str, dict, bool]]:
+    """Yield each claim of the certificate in order as (claim, evidence,
+    holds), and set the conclusion flags of ``cert`` as the claims that
+    license them hold.
+
+    The consumer stops at the first claim that does not hold, so the code
+    after a yield may assume that its claim held.
+    """
     chain: list[Derivation] = []
     error = None
     try:
@@ -267,68 +278,45 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
             evidence: dict = {"plan": "auto" if spec is None else list(spec)}
             if error is not None:
                 evidence["error"] = error
-            cert.steps.append(
-                Step(
-                    claim=f"derivation step {k}: a verified marker set exists",
-                    evidence=evidence,
-                    status="fail",
-                )
-            )
-            return
+            yield f"derivation step {k}: a verified marker set exists", evidence, False
         d = chain[k - 1]
         # derive() refuses a morphism that fails the letter-level criterion,
         # so a derivation that got here satisfies it.
-        cert.steps.append(
-            Step(
-                claim=f"derivation step {k}: markers verified and morphism recognizable",
-                evidence={
-                    "direction": d.markers.direction,
-                    "radius": d.radius,
-                    "markers": sorted(d.markers.tile_indices),
-                    "derivedSize": len(d.derived),
-                    "singles": list(d.singles),
-                    "fusions": [list(p) for p in d.fusions],
-                    "recognizabilityCriterion": True,
-                },
-                status="fail" if d.degenerate else "pass",
-            )
+        yield (
+            f"derivation step {k}: markers verified and morphism recognizable",
+            {
+                "direction": d.markers.direction,
+                "radius": d.radius,
+                "markers": sorted(d.markers.tile_indices),
+                "derivedSize": len(d.derived),
+                "singles": list(d.singles),
+                "fusions": [list(p) for p in d.fusions],
+                "recognizabilityCriterion": True,
+            },
+            not d.degenerate,
         )
-        if d.degenerate:
-            return
 
     eq = sm.eq
-    cert.steps.append(
-        Step(
-            claim="twice-derived tile set is a color relabeling of the original",
-            evidence=(
-                {
-                    "verticalBijection": eq.vertical,
-                    "horizontalBijection": eq.horizontal,
-                    "tileBijection": {str(k): v for k, v in sorted(eq.tile_map.items())},
-                }
-                if eq
-                else {"equivalence": None}
-            ),
-            status="pass" if eq else "fail",
-        )
+    yield (
+        "twice-derived tile set is a color relabeling of the original",
+        (
+            {
+                "verticalBijection": eq.vertical,
+                "horizontalBijection": eq.horizontal,
+                "tileBijection": {str(k): v for k, v in sorted(eq.tile_map.items())},
+            }
+            if eq
+            else {"equivalence": None}
+        ),
+        eq is not None,
     )
-    if eq is None:
-        return
 
     if sm.omega is None:
         evidence = {"error": sm.error}
     else:
         shapes = {f"{a}x{b}" for a, b in (im.shape for im in sm.omega.images)}
         evidence = {"primitivityExponent": sm.exponent, "imageShapes": sorted(shapes)}
-    cert.steps.append(
-        Step(
-            claim="composed self-map is primitive and expansive",
-            evidence=evidence,
-            status="pass" if sm.expansive else "fail",
-        )
-    )
-    if not sm.expansive:
-        return
+    yield "composed self-map is primitive and expansive", evidence, sm.expansive
 
     cert.self_similar = True
     cert.aperiodic = True  # expansive + recognizable self-map onto-up-to-shift
@@ -337,7 +325,6 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
     # radius, so equality at any radius licenses the conclusion; escalate a
     # little before giving up.
     factors = sm.factors
-    minimal = False
     evidence = {"factorCount": len(factors)}
     for r in range(1, AUTO_MAX_RADIUS + 1):
         _witness(T, sm, factors, r)
@@ -347,13 +334,6 @@ def _run(T: WangTileSet, steps: list[Optional[tuple[int, int]]], cert: Certifica
         if not factors <= admitted:
             break  # the factor language escaped the admissible set: give up
         if factors == admitted:
-            minimal = True
+            cert.minimal = True
             break
-    cert.steps.append(
-        Step(
-            claim="2x2 factors of the self-map exhaust the admissible 2x2 patterns",
-            evidence=evidence,
-            status="pass" if minimal else "fail",
-        )
-    )
-    cert.minimal = minimal
+    yield "2x2 factors of the self-map exhaust the admissible 2x2 patterns", evidence, cert.minimal

@@ -49,7 +49,7 @@ def load_morphism(ref: str, domain: Optional[str], codomain: Optional[str]) -> M
         raise UsageError(f"no such morphism: {ref!r} (builtins: alpha, beta, gamma, omega)")
     if domain is None or codomain is None:
         raise UsageError("file morphisms need --domain and --codomain tile sets")
-    table = json.loads(path.read_text())
+    table = _read_json(path)
     return Morphism2d.from_json_table(table, load_tileset(domain), load_tileset(codomain))
 
 
@@ -70,9 +70,17 @@ def _parse_markers(spec: str, size: int) -> frozenset[int]:
     return indices
 
 
+def _read_json(path: Path):
+    """The JSON document in a file; one nested too deeply to parse is a
+    usage error."""
+    try:
+        return json.loads(path.read_text())
+    except RecursionError as e:
+        raise UsageError(f"{path}: JSON nested too deeply") from e
+
+
 def _pattern_from_file(path: str) -> Word2d:
-    rows = json.loads(Path(path).read_text())
-    return Word2d.from_rows(rows)
+    return Word2d.from_rows(_read_json(Path(path)))
 
 
 def cmd_dominoes(args) -> int:

@@ -144,11 +144,13 @@ class WangTileSet(Frozen):
 
     Tile indices are stable: ``ts[i]`` is the i-th tile in construction
     order.  Vertical colors (left and right edges) and horizontal colors
-    (top and bottom edges) are recomputed on construction.  Frozen, yet it
-    writes its own value methods: its hash is computed once.
+    (top and bottom edges) are recomputed on construction.  Equality and
+    pickling go by the tile tuple, as for any Value; it writes only its own
+    __hash__, which is computed once.
     """
 
     __slots__ = ("_tiles", "_index", "_hash", "vertical_colors", "horizontal_colors")
+    _fields = ("_tiles",)
 
     def __init__(self, tiles: Iterable[WangTile]):
         tiles = tuple(tiles)
@@ -177,16 +179,10 @@ class WangTileSet(Frozen):
     def __getitem__(self, i: int) -> WangTile:
         return self._tiles[i]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WangTileSet) and self._tiles == other._tiles
-
     def __hash__(self) -> int:
+        # String hashes differ between processes: unpickling rebuilds the set
+        # through __init__, so the cached hash is computed afresh.
         return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: unpickling rebuilds the set,
-        # so the cached hash is computed afresh.
-        return (WangTileSet, (self._tiles,))
 
     def __repr__(self) -> str:
         return f"WangTileSet({len(self)} tiles)"
@@ -270,13 +266,10 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     """
     if len(T) != len(S):
         return None
-    if len(T.vertical_colors) != len(S.vertical_colors):
-        return None
-    if len(T.horizontal_colors) != len(S.horizontal_colors):
-        return None
 
     vsig_t, hsig_t = _color_signature(T)
     vsig_s, hsig_s = _color_signature(S)
+    # Equal sorted signatures also mean equal color counts.
     if sorted(vsig_t.values()) != sorted(vsig_s.values()):
         return None
     if sorted(hsig_t.values()) != sorted(hsig_s.values()):
@@ -311,7 +304,6 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     vused: set[str] = set()
     hused: set[str] = set()
     tile_map: dict[int, int] = {}
-    used: set[int] = set()
 
     def bind(mapping: dict, used_set: set, a: str, b: str, trail: list) -> bool:
         if a in mapping:
@@ -343,7 +335,9 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     # bounded by the recursion limit.  stack[k] holds the candidate list of
     # depth k, the position in it of the tile chosen there and the bindings
     # it made; candidates are tried in cand order, as a recursive search
-    # would, skipping only tiles that a bound color rules out.
+    # would, skipping only tiles that a bound color rules out.  No S tile is
+    # taken twice: the color maps are injective and the tiles of T distinct,
+    # so a second T tile sent to it would clash with a bound color.
     stack: list[tuple[list[int], int, list]] = []
     options: list[int] = []
     start = 0
@@ -354,8 +348,6 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             options = candidates(i)
         for p in range(start, len(options)):
             j = options[p]
-            if j in used:
-                continue
             s = s_tiles[j]
             trail: list = []
             if (
@@ -364,7 +356,6 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
                 and bind(hmap, hused, t.top, s.top, trail)
                 and bind(hmap, hused, t.bottom, s.bottom, trail)
             ):
-                used.add(j)
                 tile_map[i] = j
                 stack.append((options, p, trail))
                 start = 0
@@ -374,7 +365,6 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             if not stack:
                 return None
             options, p, trail = stack.pop()
-            used.discard(tile_map.pop(order[len(stack)]))
             unbind(trail)
             start = p + 1
     return Equivalence(dict(vmap), dict(hmap), dict(tile_map))

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from wangtiles.corpus import builtin
 from wangtiles.morphism import CompositionError
 
 from helpers import deadline
+from torus_reference import torus_tiling
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -429,3 +432,64 @@ def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
     assert "26 of 28 files match" in err
     assert (data / "certificate_W_auto.json").read_text() == "stale"
     assert not (data / "fallback_U_auto_e1-first.json").exists()
+
+
+# The golden bytes must not depend on the interpreter: every other CPython
+# 3.10-3.13 on the PATH that starts reproduces all of them.
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_check_mode_passes_under_other_interpreters(minor):
+    exe = shutil.which(f"python3.{minor}")
+    if (
+        minor == sys.version_info.minor
+        or exe is None
+        or subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode
+    ):
+        pytest.skip(f"no other python3.{minor} starts here")
+    env = {**os.environ, "PYTHONPATH": str(Path(derivation.__file__).parents[1])}
+    done = subprocess.run(
+        [exe, str(_RECORDER), "--check"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "28 of 28 files match" in done.stderr
+
+
+def _check_torus(T: WangTileSet, rows: list, p: int, q: int) -> None:
+    """Fail unless rows is a p-wide, q-high torus tiling by tiles of T."""
+    assert len(rows) == q
+    for k, row in enumerate(rows):
+        assert len(row) == p and all(t in T for t in row)
+        assert all(row[x].right == row[(x + 1) % p].left for x in range(p))
+        above = rows[(k + 1) % q]
+        assert all(row[x].top == above[x].bottom for x in range(p))
+
+
+@pytest.mark.parametrize("name", ["U", "V", "W"])
+def test_no_small_torus_tiling(name):
+    T = builtin(name).payload
+    for p in (1, 2, 3, 5, 8):
+        for q in range(1, 14):
+            assert torus_tiling(T, p, q) is None, (p, q)
+
+
+def _random_tileset(seed: int) -> WangTileSet:
+    """2-6 distinct tiles over 2 or 3 colors."""
+    rng = random.Random(seed)
+    colors = "abc"[: rng.randint(2, 3)]
+    tiles = [WangTile(*c) for c in itertools.product(colors, repeat=4)]
+    return WangTileSet(rng.sample(tiles, rng.randint(2, 6)))
+
+
+def test_a_set_with_a_torus_tiling_is_never_certified_aperiodic():
+    periodic = 0
+    for seed in range(60):
+        T = _random_tileset(seed)
+        tori = [(p, q, torus_tiling(T, p, q)) for p in range(1, 5) for q in range(1, 5)]
+        tori = [(p, q, rows) for p, q, rows in tori if rows is not None]
+        for p, q, rows in tori:
+            _check_torus(T, rows, p, q)
+        cert = certify(T, f"seed {seed}")
+        if tori:
+            periodic += 1
+            assert not cert.aperiodic, seed
+    # Most draws have a torus tiling, so the property is not tested vacuously.
+    assert periodic >= 30

@@ -258,6 +258,25 @@ class TestIterateAndRender:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "U", "--pattern", "F"],
+            ["render", "U", "--morphism", "F", "--domain", "U", "--codomain", "U"],
+            ["spectral", "F", "--domain", "U", "--codomain", "U"],
+            ["iterate", "F", "0", "1", "--domain", "U", "--codomain", "U"],
+        ],
+        ids=["render-pattern", "render-morphism", "spectral", "iterate"],
+    )
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path, argv):
+        # json.loads raises RecursionError, a RuntimeError, on this depth.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run(capsys, *[str(deep) if a == "F" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "render", "U", "--letter", "99")
         assert code == 2

@@ -240,14 +240,14 @@ def test_every_definition_is_referenced():
     assert unread == []
 
 
-# The classes that may write each value method themselves: the shared base and
-# the tile set with its cached hash write equality, hashing and pickling;
+# The classes that may write each value method themselves: the shared base
+# writes equality, hashing and pickling, the tile set only its cached hash;
 # Frozen alone refuses assignment and deletion.
-_CONTENT = {("core.py", "Value"), ("core.py", "WangTileSet")}
+_BASE = {("core.py", "Value")}
 VALUE_METHOD_OWNERS = {
-    "__eq__": _CONTENT,
-    "__hash__": _CONTENT,
-    "__reduce__": _CONTENT,
+    "__eq__": _BASE,
+    "__hash__": _BASE | {("core.py", "WangTileSet")},
+    "__reduce__": _BASE,
     "__setattr__": {("core.py", "Frozen")},
     "__delattr__": {("core.py", "Frozen")},
 }
