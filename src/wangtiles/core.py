@@ -144,31 +144,33 @@ class WangTileSet(Frozen):
 
     Tile indices are stable: ``ts[i]`` is the i-th tile in construction
     order.  Vertical colors (left and right edges) and horizontal colors
-    (top and bottom edges) are recomputed on construction.  Equality and
-    pickling go by the tile tuple, as for any Value; it writes only its own
-    __hash__, which is computed once.
+    (top and bottom edges) are read off the tiles when asked for.  Equality
+    and pickling go by the tile tuple, as for any Value; it writes only its
+    own __hash__, which is computed once.
     """
 
-    __slots__ = ("_tiles", "_index", "_hash", "vertical_colors", "horizontal_colors")
+    __slots__ = ("_tiles", "_hash")
     _fields = ("_tiles",)
 
     def __init__(self, tiles: Iterable[WangTile]):
         tiles = tuple(tiles)
-        seen: dict[WangTile, int] = {}
-        for i, t in enumerate(tiles):
-            if t in seen:
-                raise ValueError(f"duplicate tile {t.as_tuple()} at indices {seen[t]} and {i}")
-            seen[t] = i
+        if len(set(tiles)) != len(tiles):
+            seen: dict[WangTile, int] = {}
+            for i, t in enumerate(tiles):
+                if t in seen:
+                    raise ValueError(f"duplicate tile {t.as_tuple()} at indices {seen[t]} and {i}")
+                seen[t] = i
         object.__setattr__(self, "_tiles", tiles)
-        object.__setattr__(self, "_index", seen)
         # Tile sets key the solver's per-set tables, so they are hashed often.
         object.__setattr__(self, "_hash", hash(tiles))
-        object.__setattr__(
-            self, "vertical_colors", frozenset(c for t in tiles for c in (t.left, t.right))
-        )
-        object.__setattr__(
-            self, "horizontal_colors", frozenset(c for t in tiles for c in (t.top, t.bottom))
-        )
+
+    @property
+    def vertical_colors(self) -> frozenset[str]:
+        return frozenset(c for t in self._tiles for c in (t.left, t.right))
+
+    @property
+    def horizontal_colors(self) -> frozenset[str]:
+        return frozenset(c for t in self._tiles for c in (t.top, t.bottom))
 
     def __len__(self) -> int:
         return len(self._tiles)
@@ -188,10 +190,10 @@ class WangTileSet(Frozen):
         return f"WangTileSet({len(self)} tiles)"
 
     def index(self, tile: WangTile) -> int:
-        return self._index[tile]
+        return self._tiles.index(tile)
 
     def __contains__(self, tile: WangTile) -> bool:
-        return tile in self._index
+        return tile in self._tiles
 
     def dual(self) -> "WangTileSet":
         return WangTileSet(t.dual() for t in self._tiles)

@@ -202,7 +202,7 @@ class Derivation(Frozen):
             return None
         try:
             return [reference.index(t) for t in self.derived]
-        except KeyError:
+        except ValueError:
             return None
 
     def class_sorted_permutation(self) -> list[int]:

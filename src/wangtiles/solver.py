@@ -12,6 +12,8 @@ left to right).  Counting never enumerates: a transfer-matrix sweep
 tilings per boundary-color state over the propagated masks, row by row
 along the shorter side, so its cost grows with the number of states, not
 with the count, and a sweep whose states pass MAX_COUNT_STATES is refused.
+An enumeration counts first, and refuses to list more than MAX_COUNT_STATES
+tilings, so it cannot run away on a large rectangle.
 
 Propagation works by arc (AC-3, Mackworth 1977): a queue holds the cells
 whose mask changed, and popping one revises each of its four neighbors
@@ -22,11 +24,14 @@ start is already arc-consistent, so the queue starts at the pinned cells
 and a free rectangle needs no propagation at all; otherwise it starts with
 every cell.  Either way the fixpoint is the same.
 
-The unions are memoized: for each adjacency direction, a dict per tile set
-maps a candidate mask to the union of its tiles' neighbor masks, and fills
-an entry the first time that mask is asked for.  Propagation meets few
-distinct masks, so a revision is one dict lookup and a fresh tile set pays
-only for the masks it uses.
+The unions are memoized in one dict per tile set: it maps a candidate mask
+to the four unions (east, west, north, south) of its tiles' neighbor masks,
+and fills an entry the first time that mask is asked for.  So a popped cell
+costs one lookup for its four revisions, and a fresh tile set computes each
+mask's neighbors once, for the masks it meets (about 176 in a pinned window
+of 8 to 16 cells a side on a fresh relabeling of U).  No table is built
+ahead of its first miss: each certify step and each benchmark query starts
+from a fresh tile set, and tables built eagerly were slower.
 
 Surroundings are answered one pattern at a time through a memo kept per
 tile set: for each domino or block, the largest radius known to survive and
@@ -84,25 +89,30 @@ def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
     return next(violations(T, w), None) is None
 
 
-class _Union(dict):
-    """Candidate mask -> union of the per-tile neighbor masks of its tiles,
-    each entry computed the first time its mask is asked for."""
+class _Unions(dict):
+    """Candidate mask -> (east, west, north, south): the unions of the
+    per-tile neighbor masks of its tiles on each side, each entry computed
+    the first time its mask is asked for."""
 
     __slots__ = ("per_tile",)
 
-    def __init__(self, per_tile: tuple[int, ...]):
+    def __init__(self, per_tile: tuple[tuple[int, int, int, int], ...]):
         super().__init__()
         self.per_tile = per_tile
 
-    def __missing__(self, over: int) -> int:
-        acc = 0
+    def __missing__(self, over: int) -> tuple[int, int, int, int]:
+        east = west = north = south = 0
         rest = over
         while rest:
             low = rest & -rest
-            acc |= self.per_tile[low.bit_length() - 1]
+            e, w, n, s = self.per_tile[low.bit_length() - 1]
+            east |= e
+            west |= w
+            north |= n
+            south |= s
             rest ^= low
-        self[over] = acc
-        return acc
+        entry = self[over] = (east, west, north, south)
+        return entry
 
 
 class _Tables:
@@ -112,21 +122,17 @@ class _Tables:
     identity.
     """
 
-    __slots__ = ("full", "partnered", "right", "left", "top", "bottom", "known", "patterns")
+    __slots__ = ("full", "partnered", "per_tile", "unions", "known", "patterns")
 
-    def __init__(
-        self, full: int, partnered: bool, right: _Union, left: _Union, top: _Union, bottom: _Union
-    ):
-        self.full = full
+    def __init__(self, per_tile: tuple[tuple[int, int, int, int], ...]):
+        self.full = (1 << len(per_tile)) - 1
         # Every tile has a partner on each of its four sides, so the all-tiles
         # start is arc-consistent and propagation starts at the pins alone.
-        self.partnered = partnered
+        self.partnered = all(map(all, per_tile))
         # The tiles that may sit east, west, north and south of each tile t
-        # (per_tile[t]), and their unions over candidate masks.
-        self.right = right
-        self.left = left
-        self.top = top
-        self.bottom = bottom
+        # (per_tile[t]), and the same four unions over candidate masks.
+        self.per_tile = per_tile
+        self.unions = _Unions(per_tile)
         # Pattern -> (largest radius known to survive, smallest radius known to
         # fail or None); filled by the surrounding queries and by harvest(),
         # shared on purpose.
@@ -148,18 +154,16 @@ def _tables(T: WangTileSet) -> _Tables:
         by_right[t.right] = by_right.get(t.right, 0) | (1 << i)
         by_bottom[t.bottom] = by_bottom.get(t.bottom, 0) | (1 << i)
         by_top[t.top] = by_top.get(t.top, 0) | (1 << i)
-    right_succ = tuple(by_left.get(t.right, 0) for t in T)
-    left_pred = tuple(by_right.get(t.left, 0) for t in T)
-    top_succ = tuple(by_bottom.get(t.top, 0) for t in T)
-    bottom_pred = tuple(by_top.get(t.bottom, 0) for t in T)
-    return _Tables(
-        full=(1 << len(T)) - 1,
-        partnered=all(map(all, (right_succ, left_pred, top_succ, bottom_pred))),
-        right=_Union(right_succ),
-        left=_Union(left_pred),
-        top=_Union(top_succ),
-        bottom=_Union(bottom_pred),
+    per_tile = tuple(
+        (
+            by_left.get(t.right, 0),
+            by_right.get(t.left, 0),
+            by_bottom.get(t.top, 0),
+            by_top.get(t.bottom, 0),
+        )
+        for t in T
     )
+    return _Tables(per_tile)
 
 
 def _propagate(
@@ -173,16 +177,16 @@ def _propagate(
     must hold every cell that some neighbor is not yet consistent with.
     False when some cell empties.
     """
-    right, left, top, bottom = tb.right, tb.left, tb.top, tb.bottom
+    unions = tb.unions
     pending = set(changed)
     last_row = width * (height - 1)
     while pending:
         c = pending.pop()
-        m = masks[c]
+        east, west, north, south = unions[masks[c]]
         x = c % width
         if x + 1 < width:
             old = masks[c + 1]
-            new = old & right[m]
+            new = old & east
             if new != old:
                 if not new:
                     return False
@@ -190,7 +194,7 @@ def _propagate(
                 pending.add(c + 1)
         if x:
             old = masks[c - 1]
-            new = old & left[m]
+            new = old & west
             if new != old:
                 if not new:
                     return False
@@ -198,7 +202,7 @@ def _propagate(
                 pending.add(c - 1)
         if c < last_row:
             old = masks[c + width]
-            new = old & top[m]
+            new = old & north
             if new != old:
                 if not new:
                     return False
@@ -206,7 +210,7 @@ def _propagate(
                 pending.add(c + width)
         if c >= width:
             old = masks[c - width]
-            new = old & bottom[m]
+            new = old & south
             if new != old:
                 if not new:
                     return False
@@ -228,15 +232,17 @@ def _initial_masks(
     return masks, pinned if tb.partnered else range(width * height)
 
 
-# _count refuses once its frontier holds more boundary states than this.  A
-# free 10x10 rectangle of U peaks at 41,379 states and passes; 11x11 peaks at
-# 94,667 and is refused.  A state costs about 170 bytes at a side of 40
-# cells, so a refused sweep stays near 10 MB.
+# _count refuses once its frontier holds more boundary states than this, and
+# an enumeration refuses to list more tilings than this.  A free 10x10
+# rectangle of U peaks at 41,379 states and is counted (356,483 tilings, too
+# many to list); 11x11 peaks at 94,667 and is refused.  A state costs about
+# 170 bytes at a side of 40 cells, so a refused sweep stays near 10 MB.
 MAX_COUNT_STATES = 1 << 16
 
 
 class CountTooLarge(ValueError):
-    """A count whose sweep frontier would hold more than MAX_COUNT_STATES states."""
+    """A count whose sweep frontier would hold more than MAX_COUNT_STATES
+    states, or an enumeration of more than MAX_COUNT_STATES tilings."""
 
 
 def _count(T: WangTileSet, masks: list[int], width: int, height: int) -> int:
@@ -305,18 +311,20 @@ def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterat
     """
     pool = [i for i, m in enumerate(masks) if m.bit_count() > 1]
     assigned = [m.bit_count() == 1 for m in masks]
+    per_tile = tb.per_tile
+    # Each cell's neighbors, with the side of per_tile's entry that each reads.
     neighbors = []
     for idx in range(width * height):
         x, y = idx % width, idx // width
         nbs = []
         if x + 1 < width:
-            nbs.append((idx + 1, tb.right.per_tile))
+            nbs.append((idx + 1, 0))
         if x > 0:
-            nbs.append((idx - 1, tb.left.per_tile))
+            nbs.append((idx - 1, 1))
         if y + 1 < height:
-            nbs.append((idx + width, tb.top.per_tile))
+            nbs.append((idx + width, 2))
         if y > 0:
-            nbs.append((idx - width, tb.bottom.per_tile))
+            nbs.append((idx - width, 3))
         neighbors.append(nbs)
 
     def most_constrained() -> int:
@@ -351,11 +359,11 @@ def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterat
             continue
         bit = rem & -rem
         rem ^= bit
-        tile = bit.bit_length() - 1
+        fits = per_tile[bit.bit_length() - 1]
         trail = []
-        for nb, allowed in neighbors[cell]:
+        for nb, side in neighbors[cell]:
             old = masks[nb]
-            new = old & allowed[tile]
+            new = old & fits[side]
             if new != old:
                 if new == 0:
                     break
@@ -385,7 +393,8 @@ def solve_rectangle(
 
     Mutually inconsistent pins give False / [] / 0, never an error.  A count
     whose sweep would pass MAX_COUNT_STATES boundary states raises
-    CountTooLarge.
+    CountTooLarge, and so does an enumeration, which counts first, when the
+    count or its sweep passes MAX_COUNT_STATES.
     """
     if width < 1 or height < 1:
         raise ValueError("rectangle dimensions must be >= 1")
@@ -403,13 +412,20 @@ def solve_rectangle(
     # that starts empty, so that case is answered here.
     if not tb.full or not _propagate(masks, width, height, tb, changed):
         return False if mode == "exists" else ([] if mode == "enumerate" else 0)
-    if mode == "count":
-        return _count(T, masks, width, height)
-    found = _solutions(masks, width, height, tb)
     if mode == "exists":
-        return next(found, None) is not None
+        return next(_solutions(masks, width, height, tb), None) is not None
+    count = _count(T, masks, width, height)
+    if mode == "count":
+        return count
+    if count > MAX_COUNT_STATES:
+        raise CountTooLarge(
+            f"enumerating a {width}x{height} rectangle would list {count} tilings,"
+            f" more than {MAX_COUNT_STATES}"
+        )
     # Row-major tile tuples sort into canonical scan order (y outer, x inner).
-    scans = sorted(tuple(m.bit_length() - 1 for m in sol) for sol in found)
+    scans = sorted(
+        tuple(m.bit_length() - 1 for m in sol) for sol in _solutions(masks, width, height, tb)
+    )
     return [
         Word2d(tuple(tuple(s[y * width + x] for y in range(height)) for x in range(width)))
         for s in scans

@@ -95,6 +95,26 @@ class TestPatterns:
         assert out == ""
         assert err == "error: MemoryError\n"
 
+    def test_too_many_patterns_are_refused_at_once(self):
+        # A 100x100 rectangle has far too many tilings to list: the count
+        # taken before the search refuses it, so the command exits 2 within
+        # the timeout instead of enumerating.  The address-space cap bounds
+        # what a runaway enumeration could take before the timeout kills it.
+        cap = 2 << 30
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "wangtiles.cli", "patterns", "U", "--shape", "100x100"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
 
 class TestMarkers:
     def test_find(self, capsys):

@@ -91,7 +91,8 @@ def per_bit_union(tiles, over, fits):
     )
 
 
-# (union memo of a direction, does tile v fit on that side of tile u?)
+# (side of the neighbor, does tile v fit on that side of tile u?), in the
+# order of a union memo entry: east, west, north, south.
 DIRECTIONS = [
     ("right", lambda u, v: u.right == v.left),
     ("left", lambda u, v: u.left == v.right),
@@ -115,8 +116,7 @@ class TestUnionTables:
         )
         tb = _tables(WangTileSet(tiles))
         over = data.draw(st.integers(0, (1 << size) - 1))
-        for attr, fits in DIRECTIONS:
-            assert getattr(tb, attr)[over] == per_bit_union(tiles, over, fits)
+        assert tb.unions[over] == tuple(per_bit_union(tiles, over, fits) for _, fits in DIRECTIONS)
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 24])
     def test_memo_fills_only_the_masks_asked_for(self, size):
@@ -127,12 +127,14 @@ class TestUnionTables:
         T = WangTileSet(tiles)
         _tables.cache_clear()
         tb = _tables(T)
-        assert all(len(getattr(tb, attr)) == 0 for attr, _ in DIRECTIONS)
+        assert len(tb.unions) == 0
         asked = {(1 << size) - 1, 1 << (size - 1), 1, 0}
         for over in sorted(asked) * 2:
-            for attr, fits in DIRECTIONS:
-                assert getattr(tb, attr)[over] == per_bit_union(tiles, over, fits)
-        assert all(set(getattr(tb, attr)) == asked for attr, _ in DIRECTIONS)
+            assert tb.unions[over] == tuple(
+                per_bit_union(tiles, over, fits) for _, fits in DIRECTIONS
+            )
+        # One entry per mask asked for, holding all four directions.
+        assert set(tb.unions) == asked
         assert _tables(T) is tb
 
 
