@@ -5,6 +5,8 @@ column running bottom to top.  A Morphism2d maps every letter of a domain
 tile set to a Word2d over a codomain tile set; applying it to a word glues
 the images into a block array, which is only defined when image heights
 agree along each input row and image widths agree along each input column.
+The 2x2 factor closure works on column tuples, the tuples a Word2d wraps,
+and builds a Word2d only for the factors it returns.
 """
 
 from __future__ import annotations
@@ -110,20 +112,6 @@ def concat(u: Word2d, v: Word2d, direction: int) -> Word2d:
             raise ShapeError(f"widths differ: {un1} vs {vn1}")
         return Word2d(tuple(cu + cv for cu, cv in zip(u.columns, v.columns)))
     raise ValueError(f"direction must be 1 or 2, got {direction}")
-
-
-def subwords(w: Word2d, shape: tuple[int, int]) -> set[Word2d]:
-    """All factors of the given shape, deduplicated."""
-    a, b = shape
-    n1, n2 = w.shape
-    if a < 1 or b < 1:
-        raise ValueError("subword shape components must be >= 1")
-    windows = {
-        tuple(col[y : y + b] for col in w.columns[x : x + a])
-        for x in range(n1 - a + 1)
-        for y in range(n2 - b + 1)
-    }
-    return set(map(Word2d, windows))
 
 
 class Morphism2d(Frozen):
@@ -383,6 +371,13 @@ def check_recognizability_criterion(m: Morphism2d, markers: set[int], direction:
     return True
 
 
+def _windows(columns: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The column tuples of every 2x2 window of a word."""
+    for left, right in zip(columns, columns[1:]):
+        for y in range(len(left) - 1):
+            yield (left[y : y + 2], right[y : y + 2])
+
+
 def factors_2x2(m: Morphism2d) -> set[Word2d]:
     """All 2x2 words in the language generated by iterating the morphism.
 
@@ -394,25 +389,40 @@ def factors_2x2(m: Morphism2d) -> set[Word2d]:
     Phase 2 closes the seeds' 2x2 factors under "apply, then take the 2x2
     factors".  Every 2x2 window of m(w) lies in m(f) for some 2x2 factor f
     of w, so this gives the factors of every later iterate too, and it ends
-    because there are finitely many 2x2 words.
+    because there are finitely many 2x2 words.  The closure runs on column
+    tuples: a block's image is glued from the image tables, its windows are
+    sliced as tuples, and a Word2d is built once per factor, for the set
+    returned.  A block whose images do not fit goes to apply, which raises
+    its DomainError.
     """
     if m.domain != m.codomain:
         raise ValueError("factor closure requires domain == codomain")
-    collected: set[Word2d] = set()
+    collected: set[tuple[tuple[int, ...], ...]] = set()
     for a in range(len(m.domain)):
         for k, shape in zip(range(1, len(m.domain) + 1), _shapes(m, a)):
             if min(shape) >= 2:
                 w = Word2d.letter(a)
                 for _ in range(k):
                     w = apply(m, w)
-                collected |= subwords(w, (2, 2))
+                collected.update(_windows(w.columns))
                 break
 
+    widths, heights, image_columns = m.image_tables
     frontier = set(collected)
     while frontier:
-        fresh: set[Word2d] = set()
+        fresh: set[tuple[tuple[int, ...], ...]] = set()
         for f in frontier:
-            fresh |= subwords(apply(m, f), (2, 2))
+            (a, b), (c, d) = f
+            rows_fit = heights[a] == heights[c] and heights[b] == heights[d]
+            if not (rows_fit and widths[a] == widths[b] and widths[c] == widths[d]):
+                apply(m, Word2d(f))  # raises the DomainError that names the misfit
+            # each column of a block's image: the lower image's column, then the upper's
+            image = [
+                lower + upper
+                for bottom, top in f
+                for lower, upper in zip(image_columns[bottom], image_columns[top])
+            ]
+            fresh.update(_windows(image))
         frontier = fresh - collected
         collected |= fresh
-    return collected
+    return set(map(Word2d, collected))

@@ -35,18 +35,24 @@ from a fresh tile set, and tables built eagerly were slower.
 
 Surroundings are answered one pattern at a time through a memo kept per
 tile set: for each domino or block, the largest radius known to survive and
-the smallest known to fail.  Surroundings are monotone in the radius, so a
-question the bounds leave open costs one search at the radius asked, and
-callers such as the marker checks ask only about the pairs their answer
-depends on.  The memo is filled by those searches and by harvested patches:
-a valid patch is a surrounding witness for every 2x2 block inside it, at
-the largest radius whose window fits in the patch.  The valid patterns of
-a shape are enumerated once per tile set and filtered at each radius asked.
+the smallest known to fail.  The memo is keyed by the pattern's column
+tuple, the tuple a Word2d wraps, so asking about a domino or a harvested
+block builds no Word2d and hashes no Python-level value.  Surroundings are
+monotone in the radius, so a question the bounds leave open costs one
+search at the radius asked, and callers such as the marker checks ask only
+about the pairs their answer depends on.  The color-matching pairs of each
+axis are listed once per tile set, in sorted order, the first time that
+axis is asked about.  The memo is filled by those searches and by harvested
+patches: a valid patch is a surrounding witness for every 2x2 block inside
+it, at the largest radius whose window fits in the patch.  The valid
+patterns of a shape are enumerated once per tile set and filtered at each
+radius asked.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .core import WangTileSet
@@ -122,7 +128,7 @@ class _Tables:
     identity.
     """
 
-    __slots__ = ("full", "partnered", "per_tile", "unions", "known", "patterns")
+    __slots__ = ("full", "partnered", "per_tile", "unions", "pairs", "known", "patterns")
 
     def __init__(self, per_tile: tuple[tuple[int, int, int, int], ...]):
         self.full = (1 << len(per_tile)) - 1
@@ -133,9 +139,12 @@ class _Tables:
         # (per_tile[t]), and the same four unions over candidate masks.
         self.per_tile = per_tile
         self.unions = _Unions(per_tile)
-        # Pattern -> (largest radius known to survive, smallest radius known to
-        # fail or None); filled by the surrounding queries and by harvest(),
-        # shared on purpose.
+        # Axis -> its color-matching pairs (i, j) in sorted order, each with
+        # its domino's column tuple; listed on the first question of the axis.
+        self.pairs = {}
+        # Column tuple of a pattern -> (largest radius known to survive,
+        # smallest radius known to fail or None); filled by the surrounding
+        # queries and by harvest(), shared on purpose.
         self.known = {}
         # Shape -> every valid pattern of that shape, sorted by column tuples.
         self.patterns = {}
@@ -441,13 +450,19 @@ def pattern_has_surrounding(T: WangTileSet, pattern: Word2d, radius: int) -> boo
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    return _has_surrounding(T, pattern.columns, radius)
+
+
+def _has_surrounding(T: WangTileSet, columns: tuple[tuple[int, ...], ...], radius: int) -> bool:
+    """pattern_has_surrounding on a pattern's column tuple, pinned straight
+    from the columns; radius 0 asks whether the pattern is valid."""
     if radius == 0:
-        return is_valid_pattern(T, pattern)
-    n1, n2 = pattern.shape
+        return is_valid_pattern(T, Word2d(columns))
+    n1, n2 = len(columns), len(columns[0])
     pins = {
-        (x + n1 * radius, y + n2 * radius): pattern.cell(x, y)
-        for x in range(n1)
-        for y in range(n2)
+        (x + n1 * radius, y + n2 * radius): a
+        for x, col in enumerate(columns)
+        for y, a in enumerate(col)
     }
     side = 1 + 2 * radius
     return bool(solve_rectangle(T, n1 * side, n2 * side, pins, "exists"))
@@ -459,19 +474,23 @@ def domino(i: int, j: int, direction: int) -> Word2d:
 
 
 def _survives(
-    T: WangTileSet, known: dict[Word2d, tuple[int, Optional[int]]], pattern: Word2d, radius: int
+    T: WangTileSet,
+    known: dict[tuple[tuple[int, ...], ...], tuple[int, Optional[int]]],
+    key: tuple[tuple[int, ...], ...],
+    radius: int,
 ) -> bool:
-    """pattern_has_surrounding through the memo: a radius the known bounds
-    leave open is solved once, at that radius, and its answer moves one bound."""
-    alive, dead = known.get(pattern, (-1, None))
+    """pattern_has_surrounding through the memo, for the pattern with column
+    tuple ``key``: a radius the known bounds leave open is solved once, at
+    that radius, and its answer moves one bound."""
+    alive, dead = known.get(key, (-1, None))
     if radius <= alive:
         return True
     if dead is not None and radius >= dead:
         return False
-    if pattern_has_surrounding(T, pattern, radius):
-        known[pattern] = (radius, dead)
+    if _has_surrounding(T, key, radius):
+        known[key] = (radius, dead)
         return True
-    known[pattern] = (alive, radius)
+    known[key] = (alive, radius)
     return False
 
 
@@ -497,15 +516,31 @@ def harvest(T: WangTileSet, patch: Word2d) -> None:
             if r > best.get(key, 0):
                 best[key] = r
     for key, r in best.items():
-        pattern = Word2d(key)
-        alive, dead = known.get(pattern, (-1, None))
+        alive, dead = known.get(key, (-1, None))
         if r > alive:
-            known[pattern] = (r, dead)
+            known[key] = (r, dead)
 
 
 def known_to_survive(T: WangTileSet, pattern: Word2d, radius: int) -> bool:
     """Is the pattern already known, without solving, to survive at the radius?"""
-    return radius <= _tables(T).known.get(pattern, (-1, None))[0]
+    return radius <= _tables(T).known.get(pattern.columns, (-1, None))[0]
+
+
+def _pairs(tb: _Tables, direction: int) -> list[tuple[tuple[int, int], tuple]]:
+    """The color-matching pairs (i, j) along the axis, in sorted order, each
+    with its domino's column tuple: j is a tile that may sit east of i (axis
+    1) or north of it (axis 2).  Listed once per tile set and axis."""
+    pairs = tb.pairs.get(direction)
+    if pairs is None:
+        side = 0 if direction == 1 else 2
+        n = len(tb.per_tile)
+        pairs = tb.pairs[direction] = [
+            ((i, j), ((i,), (j,)) if direction == 1 else ((i, j),))
+            for i, fits in enumerate(tb.per_tile)
+            for j in range(n)
+            if fits[side] >> j & 1
+        ]
+    return pairs
 
 
 def surviving_dominoes(
@@ -524,14 +559,12 @@ def surviving_dominoes(
         raise ValueError("direction must be 1 or 2")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    known = _tables(T).known
+    tb = _tables(T)
+    known = tb.known
     return (
-        (i, j)
-        for i, u in enumerate(T)
-        for j, v in enumerate(T)
-        if (u.right == v.left if direction == 1 else u.top == v.bottom)
-        and (where is None or where(i, j))
-        and _survives(T, known, domino(i, j, direction), radius)
+        pair
+        for pair, key in _pairs(tb, direction)
+        if (where is None or where(*pair)) and _survives(T, known, key, radius)
     )
 
 
@@ -561,5 +594,7 @@ def patterns_with_surrounding(
     tb = _tables(T)
     candidates = tb.patterns.get((w, h))
     if candidates is None:
-        candidates = tb.patterns[w, h] = sorted(solve_rectangle(T, w, h, None, "enumerate"))
-    return [p for p in candidates if _survives(T, tb.known, p, radius)]
+        candidates = tb.patterns[w, h] = sorted(
+            solve_rectangle(T, w, h, None, "enumerate"), key=attrgetter("columns")
+        )
+    return [p for p in candidates if _survives(T, tb.known, p.columns, radius)]

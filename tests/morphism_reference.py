@@ -1,5 +1,5 @@
 """Slow block assembly, memo-based iteration and factor closure, kept as
-references for tests.
+references for tests, with the general factor extraction they use.
 
 These are the earlier library versions: apply() reads every cell's image
 shape, iterate() remembers every word met at one shape and skips whole
@@ -13,9 +13,23 @@ from __future__ import annotations
 
 from itertools import chain
 
-from wangtiles.morphism import DomainError, Morphism2d, Word2d, apply, subwords
+from wangtiles.morphism import DomainError, Morphism2d, Word2d, apply
 
 CLOSURE_CAP = 10000
+
+
+def subwords(w: Word2d, shape: tuple[int, int]) -> set[Word2d]:
+    """All factors of the given shape, deduplicated."""
+    a, b = shape
+    n1, n2 = w.shape
+    if a < 1 or b < 1:
+        raise ValueError("subword shape components must be >= 1")
+    windows = {
+        tuple(col[y : y + b] for col in w.columns[x : x + a])
+        for x in range(n1 - a + 1)
+        for y in range(n2 - b + 1)
+    }
+    return set(map(Word2d, windows))
 
 
 def reference_apply(m: Morphism2d, w: Word2d) -> Word2d:

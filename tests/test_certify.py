@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 
 from wangtiles import derivation, solver
-from wangtiles.certify import _now, certify
+from wangtiles.certify import _now, _search, certify
 from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
-from wangtiles.morphism import CompositionError
+from wangtiles.morphism import CompositionError, Word2d, factors_2x2, iterate
 
 from helpers import deadline
+from morphism_reference import subwords
 from torus_reference import torus_tiling
 
 U = builtin("U").payload
@@ -238,9 +239,10 @@ def _check_memo_facts(monkeypatch, T, name, plan):
     memos = {}  # tile set -> its tables, kept past the cache's evictions
     asked: dict[tuple[int, int], int] = {}
 
-    def survives(T, known, pattern, radius):
-        asked[pattern.shape] = max(radius, asked.get(pattern.shape, 0))
-        return real_survives(T, known, pattern, radius)
+    def survives(T, known, key, radius):
+        shape = (len(key), len(key[0]))
+        asked[shape] = max(radius, asked.get(shape, 0))
+        return real_survives(T, known, key, radius)
 
     real_tables.cache_clear()
     monkeypatch.setattr(solver, "_tables", lambda T: memos.setdefault(T, real_tables(T)))
@@ -250,7 +252,8 @@ def _check_memo_facts(monkeypatch, T, name, plan):
     real_tables.cache_clear()
     checked = 0
     for T, tables in memos.items():
-        for pattern, (alive, dead) in tables.known.items():
+        for key, (alive, dead) in tables.known.items():
+            pattern = Word2d(key)
             if alive >= 0:
                 r = min(alive, asked[pattern.shape])
                 assert solver.pattern_has_surrounding(T, pattern, r), (pattern, r)
@@ -259,6 +262,18 @@ def _check_memo_facts(monkeypatch, T, name, plan):
             checked += 1
     assert checked > 100
     return cert
+
+
+# The 2x2 closure of the self-map certify builds equals the 2x2 windows of a
+# deep iterate of it: level 7 already shows every factor, level 9 is 55x55.
+@pytest.mark.parametrize(
+    "name, steps, count", [("V", [(1, 1), (2, 2)], 56), ("W", [None, None], 50)]
+)
+def test_factor_closure_matches_a_deep_iterate(name, steps, count):
+    sm = _search(builtin(name).payload, steps, [])
+    factors = factors_2x2(sm.omega)
+    assert len(factors) == count
+    assert factors == subwords(iterate(sm.omega, 0, 9), (2, 2))
 
 
 @pytest.mark.parametrize("name, plan", [("U", "auto"), ("V", [(1, 1), (2, 2)]), ("W", "auto")])

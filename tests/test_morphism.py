@@ -24,7 +24,6 @@ from wangtiles.morphism import (
     factors_2x2,
     incidence_matrix,
     iterate,
-    subwords,
 )
 from wangtiles.solver import is_valid_pattern
 from wangtiles.spectral import IntMatrix, is_primitive
@@ -35,6 +34,7 @@ from morphism_reference import (
     reference_apply,
     reference_factors_2x2,
     reference_iterate,
+    subwords,
 )
 
 U = builtin("U").payload
@@ -472,6 +472,26 @@ class TestFactors:
     def test_requires_self_morphism(self):
         with pytest.raises(ValueError):
             factors_2x2(alpha)
+
+    # Letter 0's image is the seed block itself, and letter 2's image is 2
+    # wide (1 tall) or 2 tall (1 wide), so the seed's image stacks images of
+    # different widths in its left column, or of different heights in its
+    # bottom row: the closure must raise what apply raises for that block.
+    @pytest.mark.parametrize(
+        "seed, image_of_2",
+        [
+            (Word2d(((1, 2), (2, 1))), Word2d(((2,), (2,)))),
+            (Word2d(((1, 1), (2, 1))), Word2d(((2, 2),))),
+        ],
+    )
+    def test_a_block_whose_images_do_not_fit_raises_apply_s_error(self, seed, image_of_2):
+        ts = letters(3)
+        m = Morphism2d(ts, ts, (seed, Word2d.letter(1), image_of_2))
+        with pytest.raises(DomainError) as expected:
+            apply(m, seed)
+        with pytest.raises(DomainError) as raised:
+            factors_2x2(m)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestProlongable:

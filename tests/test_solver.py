@@ -18,6 +18,7 @@ from wangtiles.solver import (
     _initial_masks,
     _propagate,
     _solutions,
+    _has_surrounding,
     _tables,
     domino,
     dominoes_with_surrounding,
@@ -26,6 +27,7 @@ from wangtiles.solver import (
     pattern_has_surrounding,
     patterns_with_surrounding,
     solve_rectangle,
+    surviving_dominoes,
     violations,
 )
 
@@ -499,13 +501,13 @@ class TestSurroundings:
             r: sorted(p for p in blocks if pattern_has_surrounding(U, p, r)) for r in range(3)
         }
         solved = []
-        real = pattern_has_surrounding
+        real = _has_surrounding
 
-        def counted(T, pattern, radius):
-            solved.append((T, pattern, radius))
-            return real(T, pattern, radius)
+        def counted(T, columns, radius):
+            solved.append((T, columns, radius))
+            return real(T, columns, radius)
 
-        monkeypatch.setattr("wangtiles.solver.pattern_has_surrounding", counted)
+        monkeypatch.setattr("wangtiles.solver._has_surrounding", counted)
         ascending = sorted(expected, key=lambda key: key[2])
         shuffled = list(expected)
         random.Random(4).shuffle(shuffled)
@@ -517,7 +519,7 @@ class TestSurroundings:
             for r in (1, 0, 2):
                 assert patterns_with_surrounding(U, (2, 2), r) == expected_blocks[r], r
             # Each (pattern, radius) is solved at most once from a cold memo.
-            assert len(solved) == len(set(solved))
+            assert solved and len(solved) == len(set(solved))
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_cold_domino_query_solves_once_per_pair(self, monkeypatch, radius):
@@ -581,6 +583,45 @@ class TestSurroundings:
         )
 
 
+def color_matching_pairs(T, direction):
+    """The pairs (i, j) whose colors meet along the axis, read off the tiles."""
+    return sorted(
+        (i, j)
+        for i, u in enumerate(T)
+        for j, v in enumerate(T)
+        if (u.right == v.left if direction == 1 else u.top == v.bottom)
+    )
+
+
+def assert_pair_list(T, direction):
+    """At radius 0 every color-matching pair survives, so the domino iterator
+    walks exactly the per-set pair list, in sorted order, and asking again
+    walks the same list."""
+    _tables.cache_clear()
+    expected = color_matching_pairs(T, direction)
+    assert list(surviving_dominoes(T, direction, 0)) == expected
+    listed = _tables(T).pairs[direction]
+    assert list(surviving_dominoes(T, direction, 0)) == expected
+    assert _tables(T).pairs[direction] is listed
+
+
+class TestPairLists:
+    @pytest.mark.parametrize("name", ["U", "V", "W"])
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_builtin_sets(self, name, direction):
+        assert_pair_list(builtin(name).payload, direction)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.builds(WangTile, *[st.sampled_from("abc")] * 4), min_size=2, max_size=8, unique=True
+        ),
+        st.sampled_from([1, 2]),
+    )
+    def test_drawn_sets(self, tiles, direction):
+        assert_pair_list(WangTileSet(tiles), direction)
+
+
 def grid_tileset(width, height):
     """One tile per cell of a width x height grid, every edge color its own,
     so the grid pattern is valid and each of its windows is a distinct pattern."""
@@ -627,7 +668,7 @@ class TestHarvest:
         known = _tables(GRID).known
         # The corner blocks fit no ring, and no domino is recorded: only the
         # minimality step reads harvested facts, and only of 2x2 blocks.
-        assert known == {GRID_CENTER: (1, None)}
+        assert known == {GRID_CENTER.columns: (1, None)}
 
     # 10 x 13 has radius-2 windows, and its sides differ, so a margin off by
     # one or a swapped axis changes some recorded radius.
@@ -638,9 +679,9 @@ class TestHarvest:
         harvest(T, patch)
         known = _tables(T).known
         windows = dict(fitting_radii(patch))
-        assert known == {p: (r, None) for p, r in windows.items() if r > 0}
-        for p, (r, _) in known.items():
-            assert pattern_has_surrounding(T, p, r)
+        assert known == {p.columns: (r, None) for p, r in windows.items() if r > 0}
+        for key, (r, _) in known.items():
+            assert pattern_has_surrounding(T, Word2d(key), r)
 
     def test_invalid_patch_records_nothing(self):
         _tables.cache_clear()
@@ -654,9 +695,10 @@ class TestHarvest:
     def test_raises_but_never_lowers_a_known_radius(self):
         _tables.cache_clear()
         known = _tables(GRID).known
-        known[GRID_CENTER] = (2, 3)  # the patch witnesses it at radius 1
+        key = GRID_CENTER.columns
+        known[key] = (2, 3)  # the patch witnesses it at radius 1
         harvest(GRID, GRID_PATCH)
-        assert known[GRID_CENTER] == (2, 3)
-        known[GRID_CENTER] = (0, 2)
+        assert known[key] == (2, 3)
+        known[key] = (0, 2)
         harvest(GRID, GRID_PATCH)
-        assert known[GRID_CENTER] == (1, 2)
+        assert known[key] == (1, 2)
