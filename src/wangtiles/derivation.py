@@ -17,8 +17,7 @@ satisfies the letter-level recognizability criterion by construction.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import Frozen, WangTile, WangTileSet, fuse
 from .morphism import Morphism2d, Word2d, check_recognizability_criterion
@@ -101,41 +100,17 @@ def verify_markers(
         raise ValueError("markers must be a nonempty proper subset of the tile indices")
     if any(i < 0 or i >= len(T) for i in M):
         raise ValueError("marker index out of range")
-    same, cross = map(tuple, _violations(T, M, direction, radius))
-    return MarkerReport(same, cross)
-
-
-def _violations(
-    T: WangTileSet, M: frozenset[int], direction: int, radius: int
-) -> tuple[Iterator[tuple[int, int]], Iterator[tuple[int, int]]]:
-    """The surviving marker-marker dominoes along the axis and marker/non-marker
-    dominoes across it, each lazily and in sorted order."""
-    same = surviving_dominoes(T, direction, radius, lambda i, j: i in M and j in M)
-    cross = surviving_dominoes(
-        T, 3 - direction, radius, lambda i, j: (i in M) != (j in M)
-    )
-    return same, cross
+    same = dominoes_with_surrounding(T, direction, radius, lambda i, j: i in M and j in M)
+    cross = dominoes_with_surrounding(T, 3 - direction, radius, lambda i, j: (i in M) != (j in M))
+    return MarkerReport(tuple(same), tuple(cross))
 
 
 def _components(edges: list[tuple[str, str]]) -> list[frozenset[str]]:
-    parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    comps: list[frozenset[str]] = []
     for a, b in edges:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for a in parent:
-        groups.setdefault(find(a), set()).add(a)
-    return [frozenset(g) for g in groups.values()]
+        merged = frozenset((a, b)).union(*(c for c in comps if a in c or b in c))
+        comps = [c for c in comps if c.isdisjoint(merged)] + [merged]
+    return comps
 
 
 def find_marker_candidates(
@@ -144,9 +119,10 @@ def find_marker_candidates(
     """Verified marker sets built from the cross-direction color graph.
 
     Linking the two crossing colors of every tile (left-right for axis 2,
-    bottom-top for axis 1) partitions the colors into components; each tile
-    falls entirely inside one component, so unions of components induce the
-    only tile subsets that can pass the cross-axis condition.
+    bottom-top for axis 1) partitions the colors into components, and each
+    tile falls entirely inside one component.  Every union of components
+    passes the cross-axis condition, at every radius, and the search looks
+    only at these unions.
     """
     crossing = [(t.left, t.right) if direction == 2 else (t.bottom, t.top) for t in T]
     comps = sorted(_components(crossing), key=lambda c: sorted(c))
@@ -159,7 +135,11 @@ def find_marker_candidates(
         # Every component holds both crossing colors of at least one tile, so
         # a nonempty proper union of components gives a nonempty proper M.
         M = frozenset(i for i, (a, b) in enumerate(crossing) if a in chosen and b in chosen)
-        if next(chain(*_violations(T, M, direction, radius)), None) is None:
+        # A color-matching pair across the axis shares a crossing color, so
+        # both of its tiles lie in one component: M holds both or neither,
+        # and only the along-axis condition can fail.
+        same = surviving_dominoes(T, direction, radius, lambda i, j: i in M and j in M)
+        if next(same, None) is None:
             found.add(M)
     return [MarkerSet(M, direction) for M in sorted(found, key=lambda M: (len(M), sorted(M)))]
 
@@ -232,24 +212,27 @@ class Derivation(Frozen):
 def regroup(
     T: WangTileSet, markers: MarkerSet, radius: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The singles and fusions read off the radius-r dominoes along the axis.
+    """The singles and fusions, read off one pass over the radius-r dominoes along the axis.
 
     The singles are the non-markers that can be followed by another
     non-marker, in source order; the fusions are the (non-marker, marker)
     dominoes, in domino-pair order.  Only dominoes that start with a
-    non-marker are asked about, and a non-marker's successors only until one
-    survives.
+    non-marker are asked about: every one that ends in a marker, and those
+    that end in a non-marker only until one survives.
     """
     M = markers.tile_indices
-    direction = markers.direction
     singles: list[int] = []
+    fusions: list[tuple[int, int]] = []
     # The pairs come in sorted order, so once i is a single the filter skips
-    # its remaining successors without solving them.
-    for i, _ in surviving_dominoes(
-        T, direction, radius, lambda i, j: i not in M and j not in M and i not in singles[-1:]
+    # its remaining non-marker successors without solving them.
+    for i, j in surviving_dominoes(
+        T, markers.direction, radius,
+        lambda i, j: i not in M and (j in M or i not in singles[-1:]),
     ):
-        singles.append(i)
-    fusions = dominoes_with_surrounding(T, direction, radius, lambda i, j: i not in M and j in M)
+        if j in M:
+            fusions.append((i, j))
+        else:
+            singles.append(i)
     return tuple(singles), tuple(fusions)
 
 

@@ -3,8 +3,9 @@
 It imports only core, for the Frozen value base.  Everything is arbitrary
 precision: matrices over the integers, polynomials over the integers, and
 numbers a + b*phi in the quadratic ring Z[phi] with phi**2 = phi + 1.
-Floating point appears only in ``perron``, the float Perron root from which
-the exact eigenvalue is recognized, and in display helpers such as
+Floating point appears only in ``perron``, the float Perron root, in
+``golden_candidates``, which proposes exact eigenvalues near it for the exact
+kernel to decide, and in display helpers such as
 ``spectral_report``, the text of ``wangtiles spectral``.
 
 Exact eigenvectors are found over the integers alone.  For an eigenvalue
@@ -17,9 +18,10 @@ eigenvector is divided once, at the end, by its sum.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, sqrt
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Frozen
 
@@ -356,7 +358,7 @@ def golden_eigencheck(
 
 # perron stops once successive Rayleigh quotients differ by less than this.
 PERRON_TOLERANCE = 1e-12
-# recognize_golden accepts a + b*phi this close to the float value.
+# golden_candidates yields a + b*phi this close to the float value.
 GOLDEN_TOLERANCE = 1e-6
 
 
@@ -391,18 +393,25 @@ def power_iteration(M: IntMatrix) -> float:
     return value
 
 
-def recognize_golden(x: float, max_b: int = 64) -> Optional[GoldenNumber]:
-    """Nearest a + b*phi with |b| <= max_b, if within GOLDEN_TOLERANCE.
+def golden_candidates(x: float) -> Iterator[GoldenNumber]:
+    """Each a + b*phi within GOLDEN_TOLERANCE of the Perron root x, with b in
+    [0, 2x/sqrt(5)]; callers must verify each one exactly.
 
-    Candidates are tried by increasing |b| so the simplest representation
-    wins.  Callers must verify the result exactly; this is only a guess.
+    If lam = a + b*phi is an eigenvalue of an integer matrix, so is its
+    conjugate lam', and |lam'| <= lam; hence b*sqrt(5) = lam - lam' lies in
+    [0, 2*lam].  First comes b = round(x/sqrt(5)), the b of a conjugate near
+    0 (as for phi^n), then b = 0, an integer root, then b outward from the
+    first value.  From 2**53 on, a float no longer tells consecutive integers
+    apart, so nothing is yielded.
     """
-    for k in range(0, max_b + 1):
-        for b in ((k,) if k == 0 else (k, -k)):
-            a = round(x - b * PHI_FLOAT)
-            if abs(a + b * PHI_FLOAT - x) < GOLDEN_TOLERANCE:
-                return GoldenNumber(a, b)
-    return None
+    if x >= 2**53:
+        return
+    first, top = round(x / sqrt(5)), int(2 * x / sqrt(5)) + 1
+    outward = (b for k in range(1, top + 1) for b in (first - k, first + k) if 0 < b <= top)
+    for b in chain((first,), (0,) if first else (), outward):
+        a = round(x - b * PHI_FLOAT)
+        if abs(a + b * PHI_FLOAT - x) < GOLDEN_TOLERANCE:
+            yield GoldenNumber(a, b)
 
 
 def _fraction_free_kernel(rows: list[list[int]]) -> Optional[list[int]]:
@@ -493,24 +502,23 @@ def _integer_kernel(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[Gol
 def exact_perron_frequencies(M: IntMatrix) -> tuple[GoldenNumber, list[GoldenRational]]:
     """Exact dominant eigenvalue in Z[phi] and right eigenvector scaled to sum 1.
 
-    The eigenvalue is recognized from the float Perron value, and the kernel
-    vector of M - lambda I is checked exactly, M x == lambda x in Z[phi],
-    before it is normalized: if either check fails the function raises, it
-    never returns an unverified guess.
+    The eigenvalue is the first of golden_candidates(perron(M)) for which
+    M - lambda I has a kernel vector in Z[phi], and that vector is checked
+    exactly, M x == lambda x, before it is normalized: if no candidate is an
+    eigenvalue or the check fails, the function raises; it never returns an
+    unverified guess.
     """
     return _exact_perron(M, perron(M))
 
 
 def _exact_perron(M: IntMatrix, value: float) -> tuple[GoldenNumber, list[GoldenRational]]:
     """exact_perron_frequencies from ``value``, the float Perron root of M."""
-    # If lam = a + b*phi is an eigenvalue of the integer matrix M, so is its
-    # conjugate lam', and |lam'| <= lam; hence |b|*sqrt(5) = |lam - lam'| <= 2*lam.
-    lam = recognize_golden(value, max(64, int(2 * value / sqrt(5)) + 1))
-    if lam is None:
+    for lam in golden_candidates(value):
+        x = _integer_kernel(M, lam)
+        if x is not None:
+            break
+    else:
         raise ValueError(f"dominant eigenvalue {value} not recognized in Z[phi]")
-    x = _integer_kernel(M, lam)
-    if x is None:
-        raise ValueError(f"{lam.pretty()} is not an exact eigenvalue")
     if not golden_eigencheck(M, lam, x):
         raise ValueError(f"kernel vector fails M x == ({lam.pretty()}) x")
     total = GoldenRational.of(sum(x, GOLDEN_ZERO))

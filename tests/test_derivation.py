@@ -1,19 +1,31 @@
 from __future__ import annotations
 
-import pytest
+from collections import deque
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wangtiles import solver
 from wangtiles.core import WangTile, WangTileSet, parse_tileset
 from wangtiles.corpus import ALPHA_TABLE, BETA_TABLE, builtin
 from wangtiles.derivation import (
     MarkerError,
     MarkerSet,
+    _components,
     derive,
     find_marker_candidates,
     regroup,
     verify_markers,
 )
 from wangtiles.morphism import Word2d, apply, check_recognizability_criterion
-from wangtiles.solver import dominoes_with_surrounding, patterns_with_surrounding
+from wangtiles.solver import (
+    dominoes_with_surrounding,
+    patterns_with_surrounding,
+    surviving_dominoes,
+)
+
+from helpers import relabel
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -259,3 +271,125 @@ class TestDegenerate:
         assert d.degenerate
         assert len(d.derived) == 0
         assert d.singles == () and d.fusions == ()
+
+
+# Drawn examples are fixed from run to run, and all of them take under 2 s.
+# They come last: their many tile sets push U, V and W out of the solver's
+# per-tile-set tables, which the tests above share.
+DRAWN = settings(deadline=None, max_examples=60, derandomize=True)
+
+
+@st.composite
+def drawn_tilesets(draw):
+    """2-9 distinct tiles over 2-4 colors."""
+    colors = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    tile = st.builds(WangTile, colors, colors, colors, colors)
+    return WangTileSet(draw(st.lists(tile, min_size=2, max_size=9, unique=True)))
+
+
+def assert_unions_pass_the_cross_axis_check(T, direction):
+    for M in component_unions(T, direction):
+        if 0 < len(M) < len(T):
+            for radius in range(3):
+                assert verify_markers(T, M, direction, radius).cross_axis_violations == ()
+
+
+class TestCrossAxisLemma:
+    """A union of crossing-color components holds both tiles of every
+    color-matching pair across the axis or neither, so it never breaks the
+    cross-axis condition; find_marker_candidates checks only the other one."""
+
+    @pytest.mark.parametrize("T", [U, V, W], ids=["U", "V", "W"])
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_builtin_sets(self, T, direction):
+        assert_unions_pass_the_cross_axis_check(T, direction)
+
+    @DRAWN
+    @given(drawn_tilesets(), st.sampled_from([1, 2]))
+    def test_drawn_sets(self, T, direction):
+        assert_unions_pass_the_cross_axis_check(T, direction)
+
+
+def components_by_search(edges):
+    """Oracle: the connected components of the graph, by breadth-first search."""
+    neighbours = {}
+    for a, b in edges:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    seen, comps = set(), set()
+    for start in neighbours:
+        if start not in seen:
+            comp, queue = {start}, deque([start])
+            while queue:
+                for b in neighbours[queue.popleft()] - comp:
+                    comp.add(b)
+                    queue.append(b)
+            seen |= comp
+            comps.add(frozenset(comp))
+    return comps
+
+
+@DRAWN
+@given(st.lists(st.tuples(*[st.sampled_from("abcdefgh")] * 2), max_size=12))
+def test_components_match_a_breadth_first_search(edges):
+    comps = _components(edges)
+    assert len(comps) == len(set(comps))
+    assert set(comps) == components_by_search(edges)
+
+
+def two_pass_regroup(T, markers, radius):
+    """Reference: the singles from one pass over the pairs (i, j) of
+    non-markers, the fusions from a second over (non-marker, marker) pairs."""
+    M = markers.tile_indices
+    singles = []
+    for i, _ in surviving_dominoes(
+        T, markers.direction, radius,
+        lambda i, j: i not in M and j not in M and i not in singles[-1:],
+    ):
+        singles.append(i)
+    fusions = dominoes_with_surrounding(
+        T, markers.direction, radius, lambda i, j: i not in M and j in M
+    )
+    return tuple(singles), tuple(fusions)
+
+
+def spied_regroups(monkeypatch, T, markers, radius):
+    """The answers of regroup and of two_pass_regroup, each on its own fresh
+    relabeling of T, with the solves each one made."""
+    real = solver._has_surrounding
+    runs = []
+    for name, version in (("a", regroup), ("b", two_pass_regroup)):
+        colors = {c: name + c for t in T for c in t.as_tuple()}
+        fresh = relabel(T, colors, colors)
+        solved = []
+
+        def counted(T, columns, radius):
+            solved.append((columns, radius))
+            return real(T, columns, radius)
+
+        monkeypatch.setattr(solver, "_has_surrounding", counted)
+        runs.append((version(fresh, markers, radius), sorted(solved)))
+    return runs
+
+
+class TestOnePassRegroup:
+    @pytest.mark.parametrize("T", [U, V], ids=["U", "V"])
+    @pytest.mark.parametrize("direction", [1, 2])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_component_unions(self, monkeypatch, T, direction, radius):
+        # The unions include every marker candidate at the radius.
+        unions = [M for M in component_unions(T, direction) if 0 < len(M) < len(T)]
+        assert {m.tile_indices for m in find_marker_candidates(T, direction, radius)} <= set(unions)
+        for M in unions:
+            m = MarkerSet(M, direction)
+            (one, one_solved), (two, two_solved) = spied_regroups(monkeypatch, T, m, radius)
+            assert one == two
+            assert one_solved == two_solved
+
+    @DRAWN
+    @given(drawn_tilesets(), st.sampled_from([1, 2]), st.integers(1, 2), st.data())
+    def test_drawn_sets(self, T, direction, radius, data):
+        # regroup reads any nonempty proper subset, verified or not.
+        size = data.draw(st.integers(1, len(T) - 1))
+        m = MarkerSet(frozenset(data.draw(st.permutations(range(len(T))))[:size]), direction)
+        assert regroup(T, m, radius) == two_pass_regroup(T, m, radius)

@@ -21,11 +21,11 @@ from wangtiles.spectral import (
     IntPolynomial,
     char_poly,
     exact_perron_frequencies,
+    golden_candidates,
     golden_eigencheck,
     is_primitive,
     perron,
     power_iteration,
-    recognize_golden,
 )
 
 from helpers import golden_kernel_vector, identity_matrix
@@ -354,13 +354,13 @@ class TestEigencheck:
 
 class TestRecognizeGolden:
     def test_recognizes_phi_squared(self):
-        assert recognize_golden((3 + math.sqrt(5)) / 2) == GoldenNumber(1, 1)
+        assert next(golden_candidates((3 + math.sqrt(5)) / 2)) == GoldenNumber(1, 1)
 
     def test_recognizes_integers(self):
-        assert recognize_golden(2.0) == GoldenNumber(2, 0)
+        assert next(golden_candidates(2.0)) == GoldenNumber(2, 0)
 
     def test_rejects_sqrt2(self):
-        assert recognize_golden(math.sqrt(2)) is None
+        assert list(golden_candidates(math.sqrt(2))) == []
 
 
 class TestExactFrequencies:
@@ -396,6 +396,27 @@ class TestExactFrequencies:
         lam, freqs = exact_perron_frequencies(mat_pow(M, k))
         assert lam == PHI ** (2 * k)
         assert freqs == exact_perron_frequencies(M)[1]
+
+    @pytest.mark.parametrize("n", [30, 40, 70])
+    def test_high_powers_of_fibonacci(self, n):
+        # phi^n lies within 1e-6 of an integer, so b = 0 matches first by
+        # tolerance; the conjugate's b = round(lambda / sqrt(5)) comes first.
+        lam, freqs = exact_perron_frequencies(mat_pow(IntMatrix([[0, 1], [1, 1]]), n))
+        assert lam == PHI ** n
+        assert sum(freqs, GoldenRational()) == GoldenRational.of(GOLDEN_ONE)
+
+    def test_root_near_a_spurious_candidate_is_not_recognized(self):
+        # The Perron root (100001 + sqrt(100001**2 - 4*99999)) / 2 lies within
+        # 1e-6 of 175025 - 46368*phi, which is no eigenvalue: b < 0 is never
+        # tried, and no candidate with b >= 0 is an eigenvalue.
+        with pytest.raises(ValueError, match="not recognized in Z\\[phi\\]"):
+            exact_perron_frequencies(IntMatrix([[1, 1], [1, 10**5]]))
+
+    def test_root_beyond_the_float_integers_is_refused(self):
+        # phi^80 > 2^53: the float root no longer tells a from a + 1, and no
+        # candidate is tried, rather than all 2x/sqrt(5) of them.
+        with pytest.raises(ValueError, match="not recognized in Z\\[phi\\]"):
+            exact_perron_frequencies(mat_pow(IntMatrix([[0, 1], [1, 1]]), 80))
 
     def test_wrong_kernel_vector_is_refused(self, monkeypatch):
         # The kernel vector is checked exactly, M x == lambda x, before any
