@@ -7,11 +7,15 @@ arc-consistency propagation prunes them to its unique fixpoint.  Existence
 and enumeration then run one iterative forward-checking backtracker, most
 constrained cell first: existence stops at the first solution, and
 enumerations are sorted into canonical cell-scan order (bottom row first,
-left to right).  Counting never enumerates: a transfer-matrix sweep
-(Stanley, Enumerative Combinatorics I, 4.7) carries the number of partial
-tilings per boundary-color state over the propagated masks, row by row
-along the shorter side, so its cost grows with the number of states, not
-with the count, and a sweep whose states pass MAX_COUNT_STATES is refused.
+left to right).  The scan for that cell stops at the first cell with at most
+two candidates: one with a single candidate cannot be beaten, since forward
+checking leaves no cell empty.  Propagation and search read one neighbor
+list per rectangle shape, built the first time the shape is asked about and
+kept for the last few shapes.  Counting never enumerates: a transfer-matrix
+sweep (Stanley, Enumerative Combinatorics I, 4.7) carries the number of
+partial tilings per boundary-color state over the propagated masks, row by
+row along the shorter side, so its cost grows with the number of states,
+not with the count, and a sweep whose states pass MAX_COUNT_STATES is refused.
 An enumeration counts first, and refuses to list more than MAX_COUNT_STATES
 tilings, so it cannot run away on a large rectangle.
 
@@ -175,6 +179,29 @@ def _tables(T: WangTileSet) -> _Tables:
     return _Tables(per_tile)
 
 
+# Small on purpose: a 20x20 geometry holds about 120 KB, and a caller that
+# asks about many shapes keeps only the last few.
+@lru_cache(maxsize=8)
+def _neighbors(width: int, height: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each cell's neighbors in a width x height rectangle, cells numbered
+    row by row from the bottom, each with the side it lies on: the index of
+    its entry in a per_tile or unions tuple (0 east, 1 west, 2 north, 3 south)."""
+    cells = []
+    for idx in range(width * height):
+        x, y = idx % width, idx // width
+        nbs = []
+        if x + 1 < width:
+            nbs.append((idx + 1, 0))
+        if x > 0:
+            nbs.append((idx - 1, 1))
+        if y + 1 < height:
+            nbs.append((idx + width, 2))
+        if y > 0:
+            nbs.append((idx - width, 3))
+        cells.append(tuple(nbs))
+    return tuple(cells)
+
+
 def _propagate(
     masks: list[int], width: int, height: int, tb: _Tables, changed: Iterable[int]
 ) -> bool:
@@ -187,44 +214,19 @@ def _propagate(
     False when some cell empties.
     """
     unions = tb.unions
+    neighbors = _neighbors(width, height)
     pending = set(changed)
-    last_row = width * (height - 1)
     while pending:
         c = pending.pop()
-        east, west, north, south = unions[masks[c]]
-        x = c % width
-        if x + 1 < width:
-            old = masks[c + 1]
-            new = old & east
+        sides = unions[masks[c]]
+        for n, side in neighbors[c]:
+            old = masks[n]
+            new = old & sides[side]
             if new != old:
                 if not new:
                     return False
-                masks[c + 1] = new
-                pending.add(c + 1)
-        if x:
-            old = masks[c - 1]
-            new = old & west
-            if new != old:
-                if not new:
-                    return False
-                masks[c - 1] = new
-                pending.add(c - 1)
-        if c < last_row:
-            old = masks[c + width]
-            new = old & north
-            if new != old:
-                if not new:
-                    return False
-                masks[c + width] = new
-                pending.add(c + width)
-        if c >= width:
-            old = masks[c - width]
-            new = old & south
-            if new != old:
-                if not new:
-                    return False
-                masks[c - width] = new
-                pending.add(c - width)
+                masks[n] = new
+                pending.add(n)
     return True
 
 
@@ -315,26 +317,17 @@ def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterat
     Each solution is the live ``masks`` list with one bit per cell; copy it to
     keep it past the next step.  The most constrained cell is branched on
     first, its tile bits in ascending order, with forward checking on the
-    four neighbors and an undo trail.  The search keeps its own stack, so its
-    depth is bounded by memory, not by the interpreter's recursion limit.
+    four neighbors and an undo trail.  The scan for that cell stops at the
+    first cell with at most two candidates, so a singleton cell ends it at
+    once: no later cell can beat it, since forward checking never leaves a
+    cell empty.  The neighbors are the shape's cached list, the one
+    _propagate reads.  The search keeps its own stack, so its depth is
+    bounded by memory, not by the interpreter's recursion limit.
     """
     pool = [i for i, m in enumerate(masks) if m.bit_count() > 1]
     assigned = [m.bit_count() == 1 for m in masks]
     per_tile = tb.per_tile
-    # Each cell's neighbors, with the side of per_tile's entry that each reads.
-    neighbors = []
-    for idx in range(width * height):
-        x, y = idx % width, idx // width
-        nbs = []
-        if x + 1 < width:
-            nbs.append((idx + 1, 0))
-        if x > 0:
-            nbs.append((idx - 1, 1))
-        if y + 1 < height:
-            nbs.append((idx + width, 2))
-        if y > 0:
-            nbs.append((idx - width, 3))
-        neighbors.append(nbs)
+    neighbors = _neighbors(width, height)
 
     def most_constrained() -> int:
         best, best_count = -1, 1 << 30
@@ -344,7 +337,7 @@ def _solutions(masks: list[int], width: int, height: int, tb: _Tables) -> Iterat
             c = masks[i].bit_count()
             if c < best_count:
                 best, best_count = i, c
-                if c == 2:
+                if c <= 2:
                     break
         return best
 
@@ -410,10 +403,11 @@ def solve_rectangle(
     if mode not in ("exists", "enumerate", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     pins = dict(pins or {})
+    n = len(T)
     for (x, y), tile in pins.items():
         if not (0 <= x < width and 0 <= y < height):
             raise ValueError(f"pin {(x, y)} outside the {width}x{height} rectangle")
-        if not (0 <= tile < len(T)):
+        if not (0 <= tile < n):
             raise ValueError(f"pin tile index {tile} out of range")
     tb = _tables(T)
     masks, changed = _initial_masks(width, height, pins, tb)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from functools import cache, partial, reduce
+from itertools import islice
 from operator import or_
 from time import perf_counter
 
@@ -16,6 +17,7 @@ from wangtiles.morphism import Word2d, apply, compose, iterate
 from wangtiles.solver import (
     CountTooLarge,
     _initial_masks,
+    _neighbors,
     _propagate,
     _solutions,
     _has_surrounding,
@@ -30,6 +32,8 @@ from wangtiles.solver import (
     surviving_dominoes,
     violations,
 )
+
+from solver_reference import reference_solutions
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -420,6 +424,99 @@ class TestPropagation:
                 }
                 side = 1 + 2 * radius
                 assert_same_fixpoint(T, n1 * side, n2 * side, pins)
+
+
+def brute_force_neighbors(width, height):
+    """Each cell's 4-neighbors, row by row from the bottom, each with its side
+    in the order of a union memo entry: east, west, north, south."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    return tuple(
+        tuple(
+            (cells.index((x + dx, y + dy)), side)
+            for side, (dx, dy) in enumerate(steps)
+            if (x + dx, y + dy) in cells
+        )
+        for x, y in cells
+    )
+
+
+class TestGeometry:
+    @pytest.mark.parametrize(
+        "width, height", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (3, 5), (6, 4)]
+    )
+    def test_matches_brute_force(self, width, height):
+        assert _neighbors(width, height) == brute_force_neighbors(width, height)
+
+    def test_cache_is_small(self):
+        # The cache outlives every query, and a process that asks about many
+        # shapes keeps what it holds.
+        assert _neighbors.cache_info().maxsize <= 8
+
+
+# Solutions compared per search: enough to cover every node of a small
+# rectangle's enumeration and the first stretch of a large one's.
+SEARCH_LIMIT = 40
+
+
+def first_solutions(solutions, T, width, height, pins):
+    """The first SEARCH_LIMIT solutions a search yields from the propagated
+    masks, in the order it yields them."""
+    tb = _tables(T)
+    masks, changed = _initial_masks(width, height, pins, tb)
+    if not _propagate(masks, width, height, tb, changed):
+        return []
+    return [list(s) for s in islice(solutions(masks, width, height, tb), SEARCH_LIMIT)]
+
+
+def assert_same_search(T, width, height, pins):
+    """The search yields the reference's solutions in the reference's order,
+    so it branches on the same cell at every node; exists agrees with the
+    first of them, and a complete enumeration lists them sorted."""
+    expected = first_solutions(reference_solutions, T, width, height, pins)
+    assert first_solutions(_solutions, T, width, height, pins) == expected
+    assert solve_rectangle(T, width, height, pins, "exists") == bool(expected)
+    if len(expected) < SEARCH_LIMIT:
+        scans = sorted(tuple(m.bit_length() - 1 for m in s) for s in expected)
+        listed = solve_rectangle(T, width, height, pins, "enumerate")
+        assert [w.columns for w in listed] == [
+            tuple(tuple(s[y * width + x] for y in range(height)) for x in range(width))
+            for s in scans
+        ]
+
+
+class TestSearch:
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_matches_reference_on_pinned_windows(self, name):
+        omega = builtin("omega").payload
+        patch = iterate(omega, 4, 8)
+        if name == "V":  # as in TestCount
+            patch = apply(compose(builtin("beta").payload, builtin("gamma").payload), patch)
+        T = builtin(name).payload
+        rng = random.Random(name)
+        n1, n2 = patch.shape
+        for _ in range(40):
+            w, h = rng.randint(1, 10), rng.randint(1, 10)
+            x0, y0 = rng.randrange(n1 - w + 1), rng.randrange(n2 - h + 1)
+            cells = [(x, y) for x in range(w) for y in range(h)]
+            pinned = rng.sample(cells, rng.randint(0, min(3, len(cells))))
+            pins = {(x, y): patch.cell(x0 + x, y0 + y) for x, y in pinned}
+            assert_same_search(T, w, h, pins)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        st.lists(
+            st.builds(WangTile, *[st.sampled_from("abc")] * 4), min_size=2, max_size=9, unique=True
+        ),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_matches_reference_on_drawn_sets(self, tiles, width, height, data):
+        T = WangTileSet(tiles)
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        pins = data.draw(st.dictionaries(cells, st.integers(0, len(T) - 1), max_size=3))
+        assert_same_search(T, width, height, pins)
 
 
 class TestSurroundings:
