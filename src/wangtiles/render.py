@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import Frozen, WangTileSet, display_token
 from .morphism import Morphism2d, Word2d
-from .solver import violations
+from .solver import column_bytes, violations
 from .spectral import GOLDEN_ONE, GoldenNumber
 
 SVG_CELL = 48.0
@@ -147,6 +147,7 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     row or tile, and a cell is one f-string that interleaves them.
     """
     _check_labels(labels)
+    bad = sorted(violations(T, pattern))
     n1, n2 = pattern.shape
     letters = pattern.letters()
     colors = _palette_for(T, letters)
@@ -217,7 +218,7 @@ def render_svg(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
                 for (r, t, l, b, tr, tt, tl, tb), (y0, y1, cy, y85, y15)
                 in zip(map(tails.__getitem__, column), ys)
             ]
-    for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
+    for (x1c, y1c), (x2c, y2c) in bad:
         if x2c == x1c + 1:  # shared vertical edge
             ex, ey1, ey2 = x2c * s, (n2 - 1 - y1c) * s, (n2 - y1c) * s
             out.append(
@@ -242,11 +243,12 @@ def _svg_span(v0: float, s: float) -> tuple[str, str, str, str, str]:
 def render_tikz(T: WangTileSet, pattern: Word2d, labels: str = "index") -> str:
     """Standalone tikzpicture with one unit square per cell."""
     _check_labels(labels)
+    bad = sorted(violations(T, pattern))
     n1, n2 = pattern.shape
     out = ["\\begin{tikzpicture}[scale=1.0]", "\\tikzstyle{every node}=[font=\\tiny]"]
     out += _tikz_cells(T, pattern, [_tikz_span(x) for x in range(n1)],
                        [_tikz_span(y) for y in range(n2)], labels == "index")
-    for (x1c, y1c), (x2c, y2c) in sorted(violations(T, pattern)):
+    for (x1c, y1c), (x2c, y2c) in bad:
         if x2c == x1c + 1:
             out.append(f"\\draw[red, very thick] ({x2c}, {y1c}) -- ({x2c}, {y1c + 1});")
         else:
@@ -405,21 +407,22 @@ def stone_render(
     converted to floats only when written out.  All tiles of a column must
     share a width and all tiles of a row a height, which holds for patterns
     produced by inflation; otherwise a GeometryError names the first bad
-    cell.
+    cell, as a ValueError names the first letter that has no size.
     """
     _check_labels(labels)
-    col_w: list[GoldenNumber] = []
-    row_h: list[GoldenNumber] = []
-    for x, column in enumerate(pattern.columns):
-        y = _first_mismatch(geometry.widths, column)
-        if y is not None:
-            raise GeometryError(f"cell ({x},{y}) width differs from cell ({x},0)")
-        col_w.append(geometry.widths[column[0]])
-    for y, row in enumerate(zip(*pattern.columns)):
-        x = _first_mismatch(geometry.heights, row)
-        if x is not None:
-            raise GeometryError(f"cell ({x},{y}) height differs from cell (0,{y})")
-        row_h.append(geometry.heights[row[0]])
+    columns = pattern.columns
+    tile_w, tile_h = geometry.widths, geometry.heights
+    if not _uniform_sizes(geometry, column_bytes(columns, len(tile_w))):
+        for x, column in enumerate(columns):
+            for y, a in enumerate(column):
+                if tile_w[a] != tile_w[column[0]]:
+                    raise GeometryError(f"cell ({x},{y}) width differs from cell ({x},0)")
+        for y, first in enumerate(columns[0]):
+            for x, column in enumerate(columns):
+                if tile_h[column[y]] != tile_h[first]:
+                    raise GeometryError(f"cell ({x},{y}) height differs from cell (0,{y})")
+    col_w = [tile_w[column[0]] for column in columns]
+    row_h = [tile_h[a] for a in columns[0]]
 
     xs = [GoldenNumber(0, 0)]
     for w in col_w:
@@ -469,8 +472,17 @@ def stone_render(
     return "\n".join(out)
 
 
-def _first_mismatch(sizes: tuple[GoldenNumber, ...], line: tuple[int, ...]) -> Optional[int]:
-    """Position of the first tile in the line whose size differs from the first tile's."""
-    first = sizes[line[0]]
-    odd = {a for a in set(line) if sizes[a] != first}
-    return next((i for i, a in enumerate(line) if a in odd), None) if odd else None
+def _uniform_sizes(geometry: StoneGeometry, raw: Optional[list[bytes]]) -> bool:
+    """Does each column, given as a byte string, hold one width class, and
+    every column the first column's height classes?  False when raw is None."""
+    if raw is None:
+        return False
+    wide, high = (
+        bytes(map({v: i for i, v in enumerate(sizes)}.__getitem__, sizes)).ljust(256, b"\0")
+        for sizes in (geometry.widths, geometry.heights)
+    )
+    first = raw[0].translate(high)
+    return all(
+        col.translate(wide).count(wide[col[0]]) == len(col) and col.translate(high) == first
+        for col in raw
+    )

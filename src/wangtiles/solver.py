@@ -68,30 +68,59 @@ Mode = Literal["exists", "enumerate", "count"]
 def violations(T: WangTileSet, w: Word2d) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """Each internal edge whose two colors differ, as a (cell, east or north cell) pair.
 
-    Column-major, and at each cell the east edge before the north edge.  Each
-    column's colors are read once and compared with the next column's.
-    """
+    Column-major, and at each cell the east edge before the north edge.  A
+    letter outside 0..len(T)-1 raises ValueError naming its cell.  Only the
+    columns whose color codes (_codes) differ from their own one cell up or
+    from the next column's are scanned cell by cell, or all without codes."""
     tiles = list(T)
     columns = w.columns
+    raw = column_bytes(columns, len(tiles))
+    suspects: Iterable[int] = range(len(columns))
+    codes = _codes(T)
+    if raw is not None and codes:
+        right, top, left, bottom = codes
+        suspects = [
+            x for x, col in enumerate(raw)
+            if col.translate(top)[:-1] != col.translate(bottom)[1:]
+            or (x + 1 < len(raw) and col.translate(right) != raw[x + 1].translate(left))
+        ]
+    for x in suspects:
+        cells = [tiles[a] for a in columns[x]]
+        east = [tiles[a].left for a in columns[x + 1]] if x + 1 < len(columns) else []
+        for y, t in enumerate(cells):
+            if east and t.right != east[y]:
+                yield ((x, y), (x + 1, y))
+            if y + 1 < len(cells) and t.top != cells[y + 1].bottom:
+                yield ((x, y), (x, y + 1))
+
+
+def column_bytes(columns: tuple[tuple[int, ...], ...], n: int) -> Optional[list[bytes]]:
+    """The columns as byte strings, or None when n > 256.  Raises ValueError
+    naming the first cell, column by column, whose letter lies outside 0..n-1."""
+    try:
+        raw = [bytes(col) for col in columns]
+    except ValueError:  # a letter below 0 or above 255
+        raw = None
+    if raw and n <= 256 and not b"".join(raw).translate(None, bytes(range(n))):
+        return raw
     for x, col in enumerate(columns):
-        cells = [tiles[a] for a in col]
-        east: set[int] = set()
-        if x + 1 < len(columns):
-            east = _mismatches([t.right for t in cells], [tiles[a].left for a in columns[x + 1]])
-        north = _mismatches([t.top for t in cells[:-1]], [t.bottom for t in cells[1:]])
-        if east or north:
-            for y in sorted(east | north):
-                if y in east:
-                    yield ((x, y), (x + 1, y))
-                if y in north:
-                    yield ((x, y), (x, y + 1))
+        for y, a in enumerate(col):
+            if not 0 <= a < n:
+                raise ValueError(f"cell ({x},{y}) holds letter {a}, outside 0..{n - 1}")
+    return None
 
 
-def _mismatches(colors: list[str], others: list[str]) -> set[int]:
-    """The positions at which two equally long color lists differ."""
-    if colors == others:
-        return set()
-    return {y for y, (c, d) in enumerate(zip(colors, others)) if c != d}
+def _codes(T: WangTileSet) -> tuple[bytes, ...]:
+    """Byte translation tables from a tile to the code of its right, top, left
+    and bottom color, built once per tile set; right and left colors share one
+    code space, top and bottom another.  Empty when a space needs over 256."""
+    tb = _tables(T)
+    if tb.codes is None:
+        spaces = [{c: i for i, c in enumerate(cs)} for cs in (T.vertical_colors, T.horizontal_colors)]
+        tb.codes = () if max(map(len, spaces)) > 256 else tuple(
+            bytes(spaces[k % 2][t.as_tuple()[k]] for t in T).ljust(256, b"\0") for k in range(4)
+        )
+    return tb.codes
 
 
 def is_valid_pattern(T: WangTileSet, w: Word2d) -> bool:
@@ -132,7 +161,7 @@ class _Tables:
     identity.
     """
 
-    __slots__ = ("full", "partnered", "per_tile", "unions", "pairs", "known", "patterns")
+    __slots__ = ("full", "partnered", "per_tile", "unions", "pairs", "known", "patterns", "codes")
 
     def __init__(self, per_tile: tuple[tuple[int, int, int, int], ...]):
         self.full = (1 << len(per_tile)) - 1
@@ -152,6 +181,8 @@ class _Tables:
         self.known = {}
         # Shape -> every valid pattern of that shape, sorted by column tuples.
         self.patterns = {}
+        # violations' color code tables (_codes), built on its first call.
+        self.codes = None
 
 
 # Small on purpose: the memos grow with every query, and every fresh
@@ -429,10 +460,7 @@ def solve_rectangle(
     scans = sorted(
         tuple(m.bit_length() - 1 for m in sol) for sol in _solutions(masks, width, height, tb)
     )
-    return [
-        Word2d(tuple(tuple(s[y * width + x] for y in range(height)) for x in range(width)))
-        for s in scans
-    ]
+    return [Word2d(tuple(s[x::width] for x in range(width))) for s in scans]
 
 
 def pattern_has_surrounding(T: WangTileSet, pattern: Word2d, radius: int) -> bool:

@@ -10,9 +10,9 @@ kernel to decide, and in display helpers such as
 
 Exact eigenvectors are found over the integers alone.  For an eigenvalue
 lambda = a + b*phi with b != 0 and its conjugate lambda', fraction-free
-Gauss-Jordan elimination finds an integer kernel vector u of the integer
-matrix q(M) = (M - lambda I)(M - lambda' I), and (M - lambda' I) u is an
-eigenvector in Z[phi].  No fraction is formed while eliminating, and the
+elimination and back substitution find an integer kernel vector u of the
+integer matrix q(M) = (M - lambda I)(M - lambda' I), and (M - lambda' I) u is
+an eigenvector in Z[phi].  No fraction is formed while eliminating, and the
 eigenvector is divided once, at the end, by its sum.
 """
 
@@ -418,13 +418,14 @@ def _fraction_free_kernel(rows: list[list[int]]) -> Optional[list[int]]:
     """A nonzero integer solution u of A u = 0, or None when the square
     integer matrix A, given as ``rows`` and overwritten, is nonsingular.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each non-pivot row
-    becomes (p*x - f*y) // q for the pivot p and the previous pivot q, and
-    the division is exact.  Rows whose entry in the pivot column is zero are
-    updated too: skipping them would break the exactness of every later
-    division.  At the end every pivot equals the last one, D, so u has D in
-    the first free column and minus that column's entries at the pivots;
-    u / D is the vector that elimination over the field Q gives.
+    Fraction-free forward elimination (Bareiss 1968): each row below the
+    pivot becomes (p*x - f*y) // q for the pivot p and the previous pivot q,
+    and the division is exact.  Rows whose entry in the pivot column is zero
+    are updated too: skipping them would break the exactness of every later
+    division.  Back substitution, from the last pivot row up, puts the last
+    pivot D in the first free column and 0 in the others.  D is the pivot
+    rows' and columns' determinant, so by Cramer's rule each division is
+    exact; u / D is the vector that elimination over the field Q gives.
     """
     n = len(rows)
     pivots: list[int] = []
@@ -441,10 +442,9 @@ def _fraction_free_kernel(rows: list[list[int]]) -> Optional[list[int]]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
         p = prow[c]
-        for i in range(n):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(p * x - f * y) // q for x, y in zip(rows[i], prow)]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // q for x, y in zip(rows[i], prow)]
         pivots.append(c)
         q = p
     if len(pivots) == n:
@@ -452,8 +452,8 @@ def _fraction_free_kernel(rows: list[list[int]]) -> Optional[list[int]]:
     free = next(c for c in range(n) if c not in pivots)
     u = [0] * n
     u[free] = q
-    for row, c in zip(rows, pivots):
-        u[c] = -row[free]
+    for row, c in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+        u[c] = -sum(map(mul, row[c + 1 :], u[c + 1 :])) // row[c]
     return u
 
 

@@ -449,16 +449,23 @@ def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
     assert not (data / "fallback_U_auto_e1-first.json").exists()
 
 
+def _interpreter(minor: int):
+    """A python3.<minor> that starts: the one on the PATH, else one of
+    pyenv's builds, which its shims may refuse to start; None if none does."""
+    found = [shutil.which(f"python3.{minor}")]
+    found += sorted(Path.home().glob(f".pyenv/versions/3.{minor}.*/bin/python3.{minor}"))
+    for exe in filter(None, found):
+        if not subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode:
+            return exe
+    return None
+
+
 # The golden bytes must not depend on the interpreter: every other CPython
-# 3.10-3.13 on the PATH that starts reproduces all of them.
+# 3.10-3.13 that starts here reproduces all of them.
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
 def test_check_mode_passes_under_other_interpreters(minor):
-    exe = shutil.which(f"python3.{minor}")
-    if (
-        minor == sys.version_info.minor
-        or exe is None
-        or subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode
-    ):
+    exe = None if minor == sys.version_info.minor else _interpreter(minor)
+    if exe is None:
         pytest.skip(f"no other python3.{minor} starts here")
     env = {**os.environ, "PYTHONPATH": str(Path(derivation.__file__).parents[1])}
     done = subprocess.run(

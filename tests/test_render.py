@@ -242,6 +242,24 @@ class TestStone:
         with pytest.raises(GeometryError, match=r"\(0,1\)"):
             stone_render(GEO, bad)
 
+    def test_geometry_errors_name_the_first_bad_cell(self):
+        cols = [list(c) for c in iterate(omega, 4, 5).columns]
+        assert cols[3][1] in range(2, 8) and cols[5][3] in range(12, 19)
+        wide, tall = [list(c) for c in cols], [list(c) for c in cols]
+        wide[3][1] = 0  # a small square under a wide rectangle's width
+        tall[5][3] = 2  # a wide rectangle in a row of unit squares
+        both = [list(c) for c in tall]
+        both[3][1] = 0
+        for bad, message in [
+            (wide, "cell (3,1) width differs from cell (3,0)"),
+            (tall, "cell (5,3) height differs from cell (0,3)"),
+            (both, "cell (3,1) width differs from cell (3,0)"),
+            ([[0], [12]], "cell (1,0) height differs from cell (0,0)"),
+        ]:
+            with pytest.raises(GeometryError) as caught:
+                stone_render(GEO, Word2d.from_columns(bad))
+            assert str(caught.value) == message
+
     def test_deterministic(self):
         w = iterate(omega, 4, 3)
         assert stone_render(GEO, w, 3) == stone_render(GEO, w, 3)
@@ -261,3 +279,18 @@ class TestStone:
         for p in patterns_with_surrounding(U, (2, 2), 1):
             assert stone_render(GEO, p).startswith("<?xml")
         assert stone_render(GEO, iterate(omega, 4, 5), 5)
+
+
+@pytest.mark.parametrize("letter", [-1, 19, 300])
+def test_letters_outside_the_set_are_a_value_error(letter):
+    # A negative letter would wrap to the last tile, and a large one index
+    # past the end, if the renderers did not check the range first.
+    w = Word2d(((0, 8), (12, letter)))
+    message = rf"cell \(1,1\) holds letter {letter}, outside 0\.\.18"
+    for draw in (render_text, render_svg, render_tikz):
+        with pytest.raises(ValueError, match=message):
+            draw(U, w)
+    with pytest.raises(ValueError, match=message):
+        render(U, w, "svg", "colors")
+    with pytest.raises(ValueError, match=message):
+        stone_render(GEO, w)

@@ -16,12 +16,14 @@ from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, apply, compose, iterate
 from wangtiles.solver import (
     CountTooLarge,
+    _codes,
     _initial_masks,
     _neighbors,
     _propagate,
     _solutions,
     _has_surrounding,
     _tables,
+    column_bytes,
     domino,
     dominoes_with_surrounding,
     harvest,
@@ -193,6 +195,61 @@ class TestViolations:
             got = list(violations(T, w))
             assert got == violations_per_edge(T, w)
             assert len(got) == (width - 1) * height + width * (height - 1)
+
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_mismatches_only_in_the_last_column_or_the_top_row(self, name):
+        # The columns are compared whole first: a mismatch that only the last
+        # column or the top row holds must still reach the per-cell scan.
+        T = builtin(name).payload
+        width, height = 7, 6
+        valid = some_tiling(T, width, height)
+        cells = [(width - 1, y) for y in range(height)] + [(x, height - 1) for x in range(width)]
+        bad = 0
+        for x, y in cells:
+            for tile in range(len(T)):
+                cols = [list(c) for c in valid.columns]
+                cols[x][y] = tile
+                w = Word2d.from_columns(cols)
+                got = list(violations(T, w))
+                assert got == violations_per_edge(T, w), (x, y, tile)
+                bad += bool(got)
+        assert bad > len(cells)
+
+    def test_sets_without_byte_codes_scan_every_column(self):
+        rng = random.Random(300)
+        # 300 tiles over five colors: too many tiles for a byte.
+        many_tiles = WangTileSet(
+            WangTile(*("abcde"[k // 5**d % 5] for d in range(4))) for k in range(300)
+        )
+        # 150 tiles, but 290 right and left colors: too many codes for a byte.
+        many_colors = WangTileSet(
+            WangTile(f"c{i}", "ab"[i % 2], f"c{i + 150 if i < 140 else i - 140}", "ab"[i // 2 % 2])
+            for i in range(150)
+        )
+        assert len(many_colors.vertical_colors) == 290 and _codes(many_colors) == ()
+        assert column_bytes(((0,),), len(many_tiles)) is None
+        for T in (many_tiles, many_colors):
+            found = 0
+            for width, height in [(1, 1), (1, 5), (5, 1), (6, 4)]:
+                for _ in range(30):
+                    w = Word2d.from_columns(
+                        [[rng.randrange(len(T)) for _ in range(height)] for _ in range(width)]
+                    )
+                    got = list(violations(T, w))
+                    assert got == violations_per_edge(T, w)
+                    found += len(got) < (width - 1) * height + width * (height - 1)
+            assert found  # some edges match, so not every edge is reported
+
+    @pytest.mark.parametrize("letter", [-1, 19, 255, 256, -300])
+    def test_letters_outside_the_set_are_a_value_error(self, letter):
+        w = Word2d(((0, 8), (12, letter), (letter, 3)))
+        with pytest.raises(ValueError, match=rf"cell \(1,1\) holds letter {letter}, outside 0\.\.18"):
+            is_valid_pattern(U, w)
+        with pytest.raises(ValueError, match=r"cell \(0,0\)"):
+            list(violations(U, Word2d.letter(letter)))
+        big = WangTileSet(WangTile(f"r{i}", "t", "l", "b") for i in range(300))
+        with pytest.raises(ValueError, match=r"cell \(2,0\)"):
+            is_valid_pattern(big, Word2d(((0,), (1,), (-1,))))
 
 
 class TestSolveRectangle:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -463,6 +464,36 @@ GUESSES = [
 ]
 
 
+class _Exact(int):
+    """An integer whose floor divisions, either way round, fail on a
+    remainder; products, sums and differences with it stay _Exact."""
+
+    def __add__(self, other):
+        return _Exact(int(self) + int(other))
+
+    def __sub__(self, other):
+        return _Exact(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Exact(int(other) - int(self))
+
+    def __mul__(self, other):
+        return _Exact(int(self) * int(other))
+
+    def __neg__(self):
+        return _Exact(-int(self))
+
+    def __floordiv__(self, other):
+        assert int(self) % int(other) == 0, (int(self), int(other))
+        return _Exact(int(self) // int(other))
+
+    def __rfloordiv__(self, other):
+        assert int(other) % int(self) == 0, (int(other), int(self))
+        return _Exact(int(other) // int(self))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 class TestKernelAgainstFieldElimination:
     """golden_kernel_vector gives exactly the values of elimination over
     Q(phi), for eigenvalues and non-eigenvalues alike."""
@@ -525,6 +556,31 @@ class TestKernelAgainstFieldElimination:
             expected = kernel_by_field_elimination(M, lam)
             assert expected is not None
             assert golden_kernel_vector(M, lam) == expected
+
+    def test_every_division_is_exact(self):
+        # q(M) of omega's relabeled powers at their Perron roots (kernels of
+        # dimension 1), and dense products X Y of rank at most n - 2 (kernels
+        # of dimension 2 or more).  q(M) of block-diag(F, F) at phi is zero,
+        # so it would divide nothing.
+        cases = []
+        for k in range(1, 4):
+            A = _permuted(mat_pow(incidence_matrix(builtin("omega").payload), k), k)
+            lam = PHI ** (2 * k)
+            s, p = 2 * lam.a + lam.b, lam.norm()
+            AA = A @ A
+            cases.append([
+                [AA[i][j] - s * A[i][j] + (p if i == j else 0) for j in range(A.n)]
+                for i in range(A.n)
+            ])
+        rng = random.Random(81)
+        for n, rank in [(4, 2), (5, 3), (6, 3), (7, 5), (8, 6)]:
+            X = IntMatrix([[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)])
+            Y = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)])
+            cases.append([list(r) for r in (X @ Y).rows])
+        for rows in cases:
+            u = spectral._fraction_free_kernel([[_Exact(x) for x in r] for r in rows])
+            assert any(u)
+            assert all(sum(map(mul, r, u)) == 0 for r in rows)
 
     def test_negative_norm_pivots(self):
         # At lambda = phi the diagonal of M - lambda I holds a - phi, of norm
