@@ -172,8 +172,6 @@ def cmd_render(args) -> int:
         pattern = Word2d.letter(args.letter)
     else:
         raise UsageError("give one of --pattern, --iterate, --letter, --morphism")
-    if any(a < 0 or a >= len(T) for a in pattern.letters()):
-        raise UsageError(f"pattern uses tile indices outside 0..{len(T) - 1}")
     if not is_valid_pattern(T, pattern):
         print("warning: pattern has mismatched edges; rendering with markers", file=sys.stderr)
     if args.stone:

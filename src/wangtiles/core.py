@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -244,129 +244,81 @@ class Equivalence(Frozen):
         object.__setattr__(self, "tile_map", tile_map)
 
 
-def _color_signature(ts: WangTileSet) -> tuple[dict[str, tuple], dict[str, tuple]]:
-    """Per-color incidence invariants used to prune the equivalence search."""
-    vert: dict[str, list[int]] = {c: [0, 0] for c in ts.vertical_colors}
-    horiz: dict[str, list[int]] = {c: [0, 0] for c in ts.horizontal_colors}
-    for t in ts:
-        vert[t.right][0] += 1
-        vert[t.left][1] += 1
-        horiz[t.top][0] += 1
-        horiz[t.bottom][1] += 1
-    return (
-        {c: tuple(v) for c, v in vert.items()},
-        {c: tuple(v) for c, v in horiz.items()},
-    )
-
-
 def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     """Search for bijections of vertical and horizontal colors sending T to S.
 
-    Backtracks over tile assignments with forward checking on color-incidence
-    multisets.  Returns None when no pair of bijections exists; a None result
-    is an answer, not an error.
+    Depth-first over the tiles of T in index order.  One index sends (edge,
+    color), edges 0-3 in as_tuple order, to the S tiles with that color on
+    that edge.  A tile of T with a bound color tries only the S tiles of the
+    shortest such cut, in S order; a tile with none bound tries every S tile.
+    Each try binds all four colors of the tile or none.  Returns None when
+    no pair of bijections exists; a None result is an answer, not an error.
     """
     if len(T) != len(S):
         return None
-
-    vsig_t, hsig_t = _color_signature(T)
-    vsig_s, hsig_s = _color_signature(S)
-    # Equal sorted signatures also mean equal color counts.
-    if sorted(vsig_t.values()) != sorted(vsig_s.values()):
-        return None
-    if sorted(hsig_t.values()) != sorted(hsig_s.values()):
-        return None
-
-    s_tiles = list(S)
-
-    # A T tile may map only to the S tiles with the same signature key: the
-    # signatures of its four colors and which of its opposite edges agree.
-    def key(t: WangTile, vsig: dict[str, tuple], hsig: dict[str, tuple]) -> tuple:
-        return (
-            vsig[t.right], vsig[t.left], hsig[t.top], hsig[t.bottom],
-            t.right == t.left, t.top == t.bottom,
-        )
-
-    # by_edge holds the same lists cut by the color on one edge (0-3 in
-    # as_tuple order), so a tile with a bound color tries only the S tiles
-    # that carry its image.
-    by_key: dict[tuple, list[int]] = {}
-    by_edge: dict[tuple, list[int]] = {}
+    s_tiles = [s.as_tuple() for s in S]
+    index: dict[tuple[int, str], list[int]] = {}
     for j, s in enumerate(s_tiles):
-        k = key(s, vsig_s, hsig_s)
-        by_key.setdefault(k, []).append(j)
-        for edge, color in enumerate(s.as_tuple()):
-            by_edge.setdefault((k, edge, color), []).append(j)
-    t_keys = [key(t, vsig_t, hsig_t) for t in T]
-    cand = [by_key.get(k, []) for k in t_keys]
-    order = sorted(range(len(T)), key=lambda i: len(cand[i]))
+        for edge, color in enumerate(s):
+            index.setdefault((edge, color), []).append(j)
 
-    vmap: dict[str, str] = {}
-    hmap: dict[str, str] = {}
-    vused: set[str] = set()
-    hused: set[str] = set()
-    tile_map: dict[int, int] = {}
-
-    def bind(mapping: dict, used_set: set, a: str, b: str, trail: list) -> bool:
-        if a in mapping:
-            return mapping[a] == b
-        if b in used_set:
-            return False
-        mapping[a] = b
-        used_set.add(b)
-        trail.append((mapping, used_set, a, b))
-        return True
+    # Edge e of a tile, in as_tuple order, binds through maps[e], a color
+    # map, and adds to images[e], the colors it maps to, which keeps the map
+    # injective: vertical colors on edges 0 and 2, horizontal on 1 and 3.
+    vertical: dict[str, str] = {}
+    horizontal: dict[str, str] = {}
+    maps = (vertical, horizontal) * 2
+    images = (set(), set()) * 2
 
     def unbind(trail: list) -> None:
-        for mapping, used_set, a, b in reversed(trail):
+        for mapping, taken, a, b in trail:
             del mapping[a]
-            used_set.discard(b)
+            taken.discard(b)
 
-    def candidates(i: int) -> list[int]:
-        """cand[i] without the S tiles that clash with a bound color of T[i]."""
-        best = cand[i]
-        for edge, color in enumerate(T[i].as_tuple()):
-            mapping = vmap if edge % 2 == 0 else hmap
-            if color in mapping:
-                cut = by_edge.get((t_keys[i], edge, mapping[color]), [])
-                if len(cut) < len(best):
-                    best = cut
-        return best
+    def bind(t: tuple, s: tuple) -> Optional[list]:
+        """Bind the four colors of t to those of s, all or none: the new
+        bindings, or None when one clashes with a bound color."""
+        trail: list = []
+        for mapping, taken, a, b in zip(maps, images, t, s):
+            image = mapping.get(a)
+            if image is None and b not in taken:
+                mapping[a] = b
+                taken.add(b)
+                trail.append((mapping, taken, a, b))
+            elif image != b:
+                unbind(trail)
+                return None
+        return trail
 
-    # Depth-first over ``order`` with an explicit stack, so the depth is not
-    # bounded by the recursion limit.  stack[k] holds the candidate list of
-    # depth k, the position in it of the tile chosen there and the bindings
-    # it made; candidates are tried in cand order, as a recursive search
-    # would, skipping only tiles that a bound color rules out.  No S tile is
-    # taken twice: the color maps are injective and the tiles of T distinct,
-    # so a second T tile sent to it would clash with a bound color.
-    stack: list[tuple[list[int], int, list]] = []
-    options: list[int] = []
+    # An explicit stack, so the depth is not bounded by the recursion limit.
+    # stack[i] holds the candidate list of T[i], the position in it of the S
+    # tile chosen and the bindings that choice made.  No S tile is taken
+    # twice: the color maps are injective and the tiles of T distinct, so a
+    # second T tile sent to it would clash with a bound color.
+    stack: list[tuple[Sequence[int], int, list]] = []
+    options: Sequence[int] = ()
     start = 0
-    while len(stack) < len(order):
-        i = order[len(stack)]
-        t = T[i]
+    while len(stack) < len(T):
+        t = T[len(stack)].as_tuple()
         if start == 0:  # a new depth, not a return to one
-            options = candidates(i)
+            options = range(len(S))
+            for edge, color in enumerate(t):
+                image = maps[edge].get(color)
+                if image is not None:
+                    cut = index.get((edge, image), [])
+                    if len(cut) < len(options):
+                        options = cut
         for p in range(start, len(options)):
-            j = options[p]
-            s = s_tiles[j]
-            trail: list = []
-            if (
-                bind(vmap, vused, t.right, s.right, trail)
-                and bind(vmap, vused, t.left, s.left, trail)
-                and bind(hmap, hused, t.top, s.top, trail)
-                and bind(hmap, hused, t.bottom, s.bottom, trail)
-            ):
-                tile_map[i] = j
+            trail = bind(t, s_tiles[options[p]])
+            if trail is not None:
                 stack.append((options, p, trail))
                 start = 0
                 break
-            unbind(trail)
         else:
             if not stack:
                 return None
             options, p, trail = stack.pop()
             unbind(trail)
             start = p + 1
-    return Equivalence(dict(vmap), dict(hmap), dict(tile_map))
+    tile_map = {i: cut[p] for i, (cut, p, _) in enumerate(stack)}
+    return Equivalence(vertical, horizontal, tile_map)

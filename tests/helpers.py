@@ -33,6 +33,21 @@ def relabel(ts: WangTileSet, vertical: dict[str, str], horizontal: dict[str, str
     )
 
 
+# The eight symmetries of the square, as maps of a tile's (right, top, left,
+# bottom) colors: the rotations counterclockwise, then the mirrors in the
+# vertical axis, the horizontal axis, the diagonal and the antidiagonal.
+D4 = {
+    "identity": lambda r, t, l, b: (r, t, l, b),
+    "rot90": lambda r, t, l, b: (b, r, t, l),
+    "rot180": lambda r, t, l, b: (l, b, r, t),
+    "rot270": lambda r, t, l, b: (t, l, b, r),
+    "mirror1": lambda r, t, l, b: (l, t, r, b),
+    "mirror2": lambda r, t, l, b: (r, b, l, t),
+    "diagonal": lambda r, t, l, b: (t, r, b, l),
+    "antidiagonal": lambda r, t, l, b: (b, l, t, r),
+}
+
+
 def golden_kernel_vector(M: IntMatrix, eigenvalue: GoldenNumber) -> Optional[list[GoldenRational]]:
     """A nonzero solution of (M - lambda I) x = 0 over Q(phi), or None.
 

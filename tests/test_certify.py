@@ -21,7 +21,7 @@ from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import builtin
 from wangtiles.morphism import CompositionError, Word2d, factors_2x2, iterate
 
-from helpers import deadline
+from helpers import D4, deadline
 from morphism_reference import subwords
 from torus_reference import torus_tiling
 
@@ -228,6 +228,50 @@ def test_rectangle_solve_outcomes(monkeypatch, name, plan, outcomes):
     assert (satisfiable, propagated, searched) == outcomes
 
 
+# Ceilings on the work of a cold certify: solves by how they end (exists
+# answered True, refuted by the initial propagation, enumerations) and
+# pair-list walks.  No solve is refuted by search.  A change that cuts work
+# still passes, and may lower them; one extra solve per domino fails.
+@pytest.mark.parametrize(
+    "name, plan, ceilings",
+    [
+        ("U", "auto", dict(solves=170, found=42, propagated=127, enumerated=1, walks=12)),
+        ("V", [(1, 1), (2, 2)], dict(solves=193, found=46, propagated=146, enumerated=1, walks=10)),
+    ],
+)
+def test_cold_certify_work_ceilings(monkeypatch, name, plan, ceilings):
+    work = dict.fromkeys([*ceilings, "searched"], 0)
+    real_solve, real_propagate = solver.solve_rectangle, solver._propagate
+    real_pairs = solver._pairs
+
+    def propagate(*args):
+        consistent = real_propagate(*args)
+        work["propagated"] += not consistent
+        return consistent
+
+    def solve(T, width, height, pins=None, mode="exists"):
+        before = work["propagated"]
+        found = real_solve(T, width, height, pins, mode)
+        work["solves"] += 1
+        if mode == "enumerate":
+            work["enumerated"] += 1
+        elif mode == "exists":
+            work["found"] += found
+            work["searched"] += not found and work["propagated"] == before
+        return found
+
+    def pairs(*args):
+        work["walks"] += 1
+        return real_pairs(*args)
+
+    monkeypatch.setattr(solver, "_propagate", propagate)
+    monkeypatch.setattr(solver, "solve_rectangle", solve)
+    monkeypatch.setattr(solver, "_pairs", pairs)
+    solver._tables.cache_clear()
+    assert certify(builtin(name).payload, name, plan).all_verified()
+    assert {k: n for k, n in work.items() if n > ceilings.get(k, 0)} == {}
+
+
 # Every fact a certify run leaves in the surrounding memos, whether solved or
 # harvested from an inflation patch, holds when asked afresh.  A patch also
 # witnesses radii above any the run asks about; a fact is checked at most at
@@ -375,21 +419,6 @@ def test_candidate_memo_lasts_one_run(monkeypatch, name, plan, derives, finds):
         calls.update(derive=0, find_marker_candidates=0)
         assert certify(builtin(name).payload, name, plan).all_verified()
         assert calls == {"derive": derives, "find_marker_candidates": finds}
-
-
-# The eight symmetries of the square, as maps of a tile's (right, top, left,
-# bottom) colors: the rotations counterclockwise, then the mirrors in the
-# vertical axis, the horizontal axis, the diagonal and the antidiagonal.
-D4 = {
-    "identity": lambda r, t, l, b: (r, t, l, b),
-    "rot90": lambda r, t, l, b: (b, r, t, l),
-    "rot180": lambda r, t, l, b: (l, b, r, t),
-    "rot270": lambda r, t, l, b: (t, l, b, r),
-    "mirror1": lambda r, t, l, b: (l, t, r, b),
-    "mirror2": lambda r, t, l, b: (r, b, l, t),
-    "diagonal": lambda r, t, l, b: (t, r, b, l),
-    "antidiagonal": lambda r, t, l, b: (b, l, t, r),
-}
 
 
 # Step 2 of the auto plan takes the axis step 1 did not use, so the diagonal

@@ -300,6 +300,7 @@ class TestIterateAndRender:
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "render", "U", "--letter", "99")
         assert code == 2
+        assert err == "error: cell (0,0) holds letter 99, outside 0..18\n"
         code, _, err = run(capsys, "iterate", "omega", "99", "2")
         assert code == 2
 

@@ -20,7 +20,7 @@ from wangtiles.core import (
 )
 from wangtiles.corpus import HORIZONTAL_RELABEL, VERTICAL_RELABEL, builtin
 
-from helpers import deadline, relabel
+from helpers import D4, deadline, relabel
 
 
 def _bijection(pairs):
@@ -45,6 +45,31 @@ def equivalent_by_brute_force(T, S):
         if vertical is not None and horizontal is not None:
             return True
     return False
+
+
+def all_equivalences(T, S):
+    """Independent oracle: every (vertical, horizontal, tile_map) sending T
+    onto S, from a plain depth-first search over tile images with no index."""
+    found = []
+
+    def extend(vertical, horizontal, tile_map):
+        i = len(tile_map)
+        if i == len(T):
+            found.append((vertical, horizontal, tile_map))
+            return
+        t = T[i]
+        for j, s in enumerate(S):
+            if j in tile_map.values():
+                continue
+            v = _bijection([*vertical.items(), (t.right, s.right), (t.left, s.left)])
+            h = _bijection([*horizontal.items(), (t.top, s.top), (t.bottom, s.bottom)])
+            if v is not None and h is not None:
+                extend(v, h, {**tile_map, i: j})
+
+    if len(T) == len(S):
+        extend({}, {}, {})
+    return found
+
 
 U = builtin("U").payload
 V = builtin("V").payload
@@ -306,7 +331,55 @@ class TestEquivalence:
             sys.setprofile(None)
         assert eq is not None
         assert eq.tile_map == {i: (n - i) % n for i in range(n)}
-        assert calls <= 4 * n
+        assert n <= calls <= 4 * n
+
+    # Each image has exactly one equivalence onto itself, onto a relabeled
+    # and shuffled copy and, for U, onto W's image: the one the search
+    # returns, whatever order it tries candidates in.
+    @pytest.mark.parametrize("symmetry", list(D4))
+    @pytest.mark.parametrize("name", ["U", "V", "W"])
+    def test_images_match_the_single_equivalence(self, name, symmetry):
+        def image(ts):
+            return WangTileSet(WangTile(*D4[symmetry](*t.as_tuple())) for t in ts)
+
+        def renamed(colors, prefix):
+            names = [f"{prefix}{k}" for k in range(len(colors))]
+            rng.shuffle(names)
+            return dict(zip(sorted(colors), names))
+
+        T = image(builtin(name).payload)
+        rng = random.Random(f"{name} {symmetry}")
+        vertical, horizontal = renamed(T.vertical_colors, "a"), renamed(T.horizontal_colors, "b")
+        shuffled = list(relabel(T, vertical, horizontal))
+        rng.shuffle(shuffled)
+        targets = [T, WangTileSet(shuffled)] + ([image(W)] if name == "U" else [])
+        for S in targets:
+            eq = check_equivalence(T, S)
+            assert eq is not None
+            assert relabel(T, eq.vertical, eq.horizontal) == WangTileSet(
+                S[eq.tile_map[i]] for i in range(len(T))
+            )
+            assert all_equivalences(T, S) == [(eq.vertical, eq.horizontal, eq.tile_map)]
+
+    @pytest.mark.parametrize("name", ["U", "V", "W"])
+    def test_one_edge_recolorings_are_refused(self, name):
+        T = builtin(name).payload
+        families = (T.vertical_colors, T.horizontal_colors)
+        refused = 0
+        for i, tile in enumerate(T):
+            for edge, old in enumerate(tile.as_tuple()):
+                for color in sorted(families[edge % 2] - {old}):
+                    colors = list(tile.as_tuple())
+                    colors[edge] = color
+                    tiles = list(T)
+                    tiles[i] = WangTile(*colors)
+                    if len(set(tiles)) < len(tiles):
+                        continue
+                    S = WangTileSet(tiles)
+                    assert check_equivalence(T, S) is None, (i, edge, color)
+                    assert all_equivalences(T, S) == []
+                    refused += 1
+        assert refused > 100
 
     def test_inequivalent_same_size(self):
         a = parse_tileset("a x a x\nb y b y\n")
