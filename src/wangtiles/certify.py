@@ -56,16 +56,11 @@ Plan = Union[str, Sequence[tuple[int, int]]]
 
 
 class Step(Value):
-    """One claim of a certificate with its evidence; equal when all three
-    fields are, and unhashable, since it is mutable."""
+    """One claim of a certificate with its evidence; status is "pass" or
+    "fail".  Equal when all three fields are, and unhashable, since it is
+    mutable."""
 
     __slots__ = _fields = ("claim", "evidence", "status")
-
-    def __init__(self, claim: str, evidence: dict, status: str):
-        self.claim = claim
-        self.evidence = evidence
-        self.status = status  # "pass" | "fail"
-
     __hash__ = None  # type: ignore[assignment]
 
     def as_dict(self) -> dict:

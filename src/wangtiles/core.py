@@ -34,13 +34,24 @@ def display_token(token: str) -> str:
 
 class Value:
     """Base of the value classes.  Each subclass lists its fields once, in
-    constructor order, as _fields; from them it gets __eq__ (NotImplemented
-    for any other class), __hash__ (the hash of the field tuple), a
-    dataclass-style __repr__ and a __reduce__ that calls the constructor, so
-    pickling and copying rebuild through __init__."""
+    constructor order, as _fields; from them it gets a constructor that
+    stores each field, given by position or by keyword, __eq__
+    (NotImplemented for any other class), __hash__ (the hash of the field
+    tuple), a dataclass-style __repr__ and a __reduce__ that calls the
+    constructor, so pickling and copying rebuild through __init__.  A
+    subclass that checks, normalises or defaults its input writes its own
+    __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = [*args, *(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)]
+        if kwargs or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes each of {fields} once")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -70,7 +81,7 @@ class Value:
 
 class Frozen(Value):
     """A Value whose attributes cannot be assigned or deleted: both raise
-    AttributeError.  Subclasses set their fields with object.__setattr__."""
+    AttributeError.  Its constructors set fields with object.__setattr__."""
 
     __slots__ = ()
 
@@ -231,28 +242,24 @@ def emit_tileset(ts: WangTileSet) -> str:
 class Equivalence(Frozen):
     """Witness that two tile sets are equal up to color relabeling.
 
-    Its fields are dicts, so it is unhashable."""
+    vertical and horizontal map the colors of T to those of S, tile_map the
+    tile indices.  Its fields are dicts, so it is unhashable."""
 
     __slots__ = _fields = ("vertical", "horizontal", "tile_map")
     __hash__ = None  # type: ignore[assignment]
-
-    def __init__(
-        self, vertical: dict[str, str], horizontal: dict[str, str], tile_map: dict[int, int]
-    ):
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "tile_map", tile_map)
 
 
 def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     """Search for bijections of vertical and horizontal colors sending T to S.
 
-    Depth-first over the tiles of T in index order.  One index sends (edge,
-    color), edges 0-3 in as_tuple order, to the S tiles with that color on
-    that edge.  A tile of T with a bound color tries only the S tiles of the
-    shortest such cut, in S order; a tile with none bound tries every S tile.
-    Each try binds all four colors of the tile or none.  Returns None when
-    no pair of bijections exists; a None result is an answer, not an error.
+    Depth-first over the tiles of T taken breadth first over shared colors,
+    each component from its lowest index.  One index sends (edge, color),
+    edges 0-3 in as_tuple order, to the S tiles with that color on that edge.
+    A tile with a bound color, as is every tile after the first of its
+    component, tries only the S tiles of the shortest such cut, in S order;
+    the first tries every S tile.  Each try binds all four colors of the tile
+    or none.  Returns None when no pair of bijections exists; a None result
+    is an answer, not an error.
     """
     if len(T) != len(S):
         return None
@@ -261,6 +268,23 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
     for j, s in enumerate(s_tiles):
         for edge, color in enumerate(s):
             index.setdefault((edge, color), []).append(j)
+    t_tiles = [t.as_tuple() for t in T]
+    sharing: dict[tuple[int, str], list[int]] = {}  # (family, color) -> T indices
+    for i, t in enumerate(t_tiles):
+        for edge, color in enumerate(t):
+            sharing.setdefault((edge & 1, color), []).append(i)
+    order: list[int] = []
+    placed = [False] * len(T)
+    for root in range(len(T)):
+        queue = [] if placed[root] else [root]
+        placed[root] = True
+        for i in queue:  # read while it grows: breadth first
+            for edge, color in enumerate(t_tiles[i]):
+                for j in sharing.pop((edge & 1, color), ()):
+                    if not placed[j]:
+                        placed[j] = True
+                        queue.append(j)
+        order += queue
 
     # Edge e of a tile, in as_tuple order, binds through maps[e], a color
     # map, and adds to images[e], the colors it maps to, which keeps the map
@@ -291,15 +315,15 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
         return trail
 
     # An explicit stack, so the depth is not bounded by the recursion limit.
-    # stack[i] holds the candidate list of T[i], the position in it of the S
-    # tile chosen and the bindings that choice made.  No S tile is taken
+    # stack[k] holds the candidate list of T[order[k]], the position in it of
+    # the S tile chosen and the bindings that choice made.  No S tile is taken
     # twice: the color maps are injective and the tiles of T distinct, so a
     # second T tile sent to it would clash with a bound color.
     stack: list[tuple[Sequence[int], int, list]] = []
     options: Sequence[int] = ()
     start = 0
     while len(stack) < len(T):
-        t = T[len(stack)].as_tuple()
+        t = t_tiles[order[len(stack)]]
         if start == 0:  # a new depth, not a return to one
             options = range(len(S))
             for edge, color in enumerate(t):
@@ -320,5 +344,5 @@ def check_equivalence(T: WangTileSet, S: WangTileSet) -> Optional[Equivalence]:
             options, p, trail = stack.pop()
             unbind(trail)
             start = p + 1
-    tile_map = {i: cut[p] for i, (cut, p, _) in enumerate(stack)}
+    tile_map = dict(sorted(zip(order, (cut[p] for cut, p, _ in stack))))
     return Equivalence(vertical, horizontal, tile_map)

@@ -12,7 +12,6 @@ composition checks instead of hiding.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
 
 from .core import Frozen, WangTile, WangTileSet
 from .morphism import Morphism2d, Word2d, compose
@@ -71,22 +70,11 @@ BUILTIN_NAMES = ("U", "V", "W", "alpha", "beta", "gamma", "omega")
 class NamedArtifact(Frozen):
     """A built-in tile set or morphism with its name and where it comes from.
 
-    Equality and hashing go by (name, kind, payload, provenance).
+    kind is "tileset" or "morphism".  Equality and hashing go by (name, kind,
+    payload, provenance).
     """
 
     __slots__ = _fields = ("name", "kind", "payload", "provenance")
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,  # "tileset" | "morphism"
-        payload: Union[WangTileSet, Morphism2d],
-        provenance: str,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "provenance", provenance)
 
 
 def _tileset(spec) -> WangTileSet:

@@ -59,14 +59,6 @@ class MarkerReport(Frozen):
 
     __slots__ = _fields = ("same_axis_violations", "cross_axis_violations")
 
-    def __init__(
-        self,
-        same_axis_violations: tuple[tuple[int, int], ...] = (),
-        cross_axis_violations: tuple[tuple[int, int], ...] = (),
-    ):
-        object.__setattr__(self, "same_axis_violations", same_axis_violations)
-        object.__setattr__(self, "cross_axis_violations", cross_axis_violations)
-
     @property
     def ok(self) -> bool:
         return not self.same_axis_violations and not self.cross_axis_violations
@@ -147,30 +139,14 @@ def find_marker_candidates(
 class Derivation(Frozen):
     """A verified desubstitution step: T regrouped into S = singles + fusions.
 
+    morphism maps derived to source.  singles are the source indices kept as
+    letters, fusions the (non-marker, marker) pairs of source indices.
     Equality and hashing go by all seven fields, in constructor order.
     """
 
     __slots__ = _fields = (
         "source", "markers", "radius", "derived", "morphism", "singles", "fusions"
     )
-
-    def __init__(
-        self,
-        source: WangTileSet,
-        markers: MarkerSet,
-        radius: int,
-        derived: WangTileSet,
-        morphism: Morphism2d,  # derived -> source
-        singles: tuple[int, ...],  # source indices kept as letters
-        fusions: tuple[tuple[int, int], ...],  # (non-marker, marker) source pairs
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "markers", markers)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "derived", derived)
-        object.__setattr__(self, "morphism", morphism)
-        object.__setattr__(self, "singles", singles)
-        object.__setattr__(self, "fusions", fusions)
 
     @property
     def degenerate(self) -> bool:

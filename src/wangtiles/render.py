@@ -370,10 +370,6 @@ class StoneGeometry(Frozen):
 
     __slots__ = _fields = ("widths", "heights")
 
-    def __init__(self, widths: tuple[GoldenNumber, ...], heights: tuple[GoldenNumber, ...]):
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "heights", heights)
-
     def area(self, i: int) -> GoldenNumber:
         return self.widths[i] * self.heights[i]
 

@@ -16,7 +16,10 @@ It writes one file per case to tests/data/, from one table per kind:
   tokens, the morphism table, and the stone view with and without a level
   and labels (tests/test_render.py);
 - SPECTRAL: the ``wangtiles spectral`` reports on omega and on omega^6
-  (tests/test_cli.py).
+  (tests/test_cli.py);
+- TRANSCRIPTS, all in cli_transcripts.json: for each command line, the exit
+  code, stdout and first line of stderr of ``wangtiles``, with certificate
+  timestamps and suite timings blanked.
 
 With ``--check`` it writes nothing, compares every file with what this tree
 computes, and exits 1 naming the files that differ:
@@ -27,10 +30,14 @@ computes, and exits 1 naming the files that differ:
 from __future__ import annotations
 
 import importlib
+import io
 import json
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from wangtiles import cli
 from wangtiles.corpus import builtin
 from wangtiles.morphism import Word2d, compose, incidence_matrix, iterate
 from wangtiles.render import (
@@ -132,6 +139,54 @@ SPECTRAL = {
 }
 
 
+# One case per command line: every subcommand's usual output, each exit-1
+# case a subcommand has, and one exit-2 case per subcommand.
+TRANSCRIPTS = [
+    "dominoes U --dir 1 --radius 1",
+    "dominoes U --dir 2 --radius 2",
+    "dominoes V --dir 1 --radius 1 --json",
+    "dominoes U --dir 2 --radius -1",
+    "patterns U --shape 2x2 --radius 1",
+    "patterns W --shape 1x2 --radius 1",
+    "patterns U --shape two",
+    "markers U --dir 2 --radius 2",
+    "markers V --dir 1 --radius 1",
+    "markers W --dir 2 --radius 2",
+    "markers V --dir 1 --radius 1 --verify 0,1,3,8,9,14,15",
+    "markers U --dir 1 --radius 1 --verify 0,1",
+    "markers U --dir 1 --verify 99",
+    "derive U --dir 2 --radius 2",
+    "derive V --dir 1 --radius 1 --markers 0,1,3,8,9,14,15",
+    "derive U --dir 1 --radius 1 --markers 0,1",
+    "derive Q --dir 1",
+    "iterate omega 0 4",
+    "iterate omega 8 3",
+    "iterate omega 0 -1",
+    "render U --letter 0",
+    "render W --letter 5 --labels colors --ascii",
+    "render U",
+    "spectral gamma",
+    "spectral U",
+    "corpus export U",
+    "corpus export omega",
+    "corpus export zeta",
+    "certify U --plan e2:2,e2:2",
+    "certify U --plan sideways",
+    "suite",
+    "suite --filter spectral --out no/such/directory/report.txt",
+]
+TRANSCRIPTS_FILE = "cli_transcripts.json"
+
+
+def _transcript(line: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(line.split())
+    stdout = re.sub(r'"(started|finished)": "[^"]*"', r'"\1": ""', out.getvalue())
+    stdout = re.sub(r" \([0-9.]+s\)$", "", stdout, flags=re.M)
+    return {"exit": code, "stdout": stdout, "stderr": err.getvalue().partition("\n")[0]}
+
+
 def _documents() -> dict:
     """Each golden file's path under DATA and a function computing its text."""
     return {
@@ -148,17 +203,28 @@ def main(argv: list[str]) -> int:
             path for path, make in docs.items()
             if not (DATA / path).is_file() or (DATA / path).read_bytes() != make().encode("utf-8")
         ]
+        path = DATA / TRANSCRIPTS_FILE
+        recorded = json.loads(path.read_text()) if path.is_file() else {}
+        changed = [line for line in TRANSCRIPTS if recorded.get(line) != _transcript(line)]
         for path in differ:
             print(f"differs: {path}", file=sys.stderr)
+        for line in changed:
+            print(f"differs: transcript of {line!r}", file=sys.stderr)
         print(f"{len(docs) - len(differ)} of {len(docs)} files match", file=sys.stderr)
-        return 1 if differ else 0
+        print(
+            f"{len(TRANSCRIPTS) - len(changed)} of {len(TRANSCRIPTS)} transcripts match",
+            file=sys.stderr,
+        )
+        return 1 if differ or changed else 0
     if argv:
         print("usage: record_goldens.py [--check]", file=sys.stderr)
         return 2
     for path, make in docs.items():
         (DATA / path).parent.mkdir(exist_ok=True)
         (DATA / path).write_bytes(make().encode("utf-8"))
-    print(f"wrote {len(docs)} files to {DATA}", file=sys.stderr)
+    transcripts = {line: _transcript(line) for line in TRANSCRIPTS}
+    (DATA / TRANSCRIPTS_FILE).write_text(json.dumps(transcripts, indent=2) + "\n")
+    print(f"wrote {len(docs)} files and {len(transcripts)} transcripts to {DATA}", file=sys.stderr)
     return 0
 
 

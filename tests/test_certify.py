@@ -459,7 +459,9 @@ _spec.loader.exec_module(recorded)
 
 def test_check_mode_passes_on_the_golden_certificates(capsys):
     assert recorded.main(["--check"]) == 0
-    assert "28 of 28 files match" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "28 of 28 files match" in err
+    assert "32 of 32 transcripts match" in err
 
 
 def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -467,6 +469,9 @@ def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
     shutil.copytree(DATA, data)
     (data / "certificate_W_auto.json").write_text("stale")
     (data / "fallback_U_auto_e1-first.json").unlink()
+    transcripts = json.loads((data / recorded.TRANSCRIPTS_FILE).read_text())
+    transcripts["markers U --dir 2 --radius 2"]["stdout"] = "stale\n"
+    (data / recorded.TRANSCRIPTS_FILE).write_text(json.dumps(transcripts))
     monkeypatch.setattr(recorded, "DATA", data)
     assert recorded.main(["--check"]) == 1
     err = capsys.readouterr().err
@@ -474,8 +479,11 @@ def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
     assert "differs: fallback_U_auto_e1-first.json" in err
     assert "differs: certificate_U_auto.json" not in err
     assert "26 of 28 files match" in err
+    assert "differs: transcript of 'markers U --dir 2 --radius 2'" in err
+    assert "31 of 32 transcripts match" in err
     assert (data / "certificate_W_auto.json").read_text() == "stale"
     assert not (data / "fallback_U_auto_e1-first.json").exists()
+    assert json.loads((data / recorded.TRANSCRIPTS_FILE).read_text()) == transcripts
 
 
 def _interpreter(minor: int):

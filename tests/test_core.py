@@ -9,7 +9,9 @@ from itertools import permutations
 
 import pytest
 
+from wangtiles.certify import Step
 from wangtiles.core import (
+    Equivalence,
     ParseError,
     WangTile,
     WangTileSet,
@@ -19,8 +21,9 @@ from wangtiles.core import (
     parse_tileset,
 )
 from wangtiles.corpus import HORIZONTAL_RELABEL, VERTICAL_RELABEL, builtin
+from wangtiles.derivation import MarkerReport
 
-from helpers import D4, deadline, relabel
+from helpers import D4, deadline, relabel, value_samples
 
 
 def _bijection(pairs):
@@ -69,6 +72,51 @@ def all_equivalences(T, S):
     if len(T) == len(S):
         extend({}, {}, {})
     return found
+
+
+def regular_set(rng, n):
+    """n distinct tiles over n vertical and n horizontal colors, each color
+    on exactly one right and one left edge, or one top and one bottom: every
+    color has the same incidence counts, so none tells tiles apart."""
+    while True:
+        right, left, top, bottom = (rng.sample(range(n), n) for _ in range(4))
+        tiles = {
+            WangTile(f"v{right[i]}", f"h{top[i]}", f"v{left[i]}", f"h{bottom[i]}")
+            for i in range(n)
+        }
+        if len(tiles) == n:
+            return WangTileSet(sorted(tiles))
+
+
+def relabeled_shuffle(rng, T):
+    """T with its colors renamed at random and its tiles shuffled."""
+
+    def renamed(colors, prefix):
+        names = [f"{prefix}{k}" for k in range(len(colors))]
+        rng.shuffle(names)
+        return dict(zip(sorted(colors), names))
+
+    tiles = list(relabel(T, renamed(T.vertical_colors, "p"), renamed(T.horizontal_colors, "q")))
+    rng.shuffle(tiles)
+    return WangTileSet(tiles)
+
+
+def cycle_types(T):
+    """For a regular_set, the cycle lengths of the color-successor maps left
+    -> right and bottom -> top.  An equivalence conjugates each map, so two
+    sets whose cycle types differ are inequivalent."""
+    types = []
+    for successor in ({t.left: t.right for t in T}, {t.bottom: t.top for t in T}):
+        seen, lengths = set(), []
+        for color in successor:
+            length = 0
+            while color not in seen:
+                seen.add(color)
+                color, length = successor[color], length + 1
+            if length:
+                lengths.append(length)
+        types.append(sorted(lengths))
+    return types
 
 
 U = builtin("U").payload
@@ -259,21 +307,10 @@ class TestEquivalence:
         # bottom), so every color has the same signature and the search has
         # to backtrack.
         rng = random.Random(3)
-
-        def regular_set(n):
-            while True:
-                right, left, top, bottom = (rng.sample(range(n), n) for _ in range(4))
-                tiles = {
-                    WangTile(f"v{right[i]}", f"h{top[i]}", f"v{left[i]}", f"h{bottom[i]}")
-                    for i in range(n)
-                }
-                if len(tiles) == n:
-                    return WangTileSet(sorted(tiles))
-
         found = 0
         for _ in range(300):
             n = rng.randint(2, 6)
-            T = regular_set(n)
+            T = regular_set(rng, n)
             if rng.random() < 0.5:
                 vertical = {f"v{i}": f"p{k}" for i, k in enumerate(rng.sample(range(n), n))}
                 horizontal = {f"h{i}": f"q{k}" for i, k in enumerate(rng.sample(range(n), n))}
@@ -281,7 +318,7 @@ class TestEquivalence:
                 rng.shuffle(tiles)
                 S = WangTileSet(tiles)
             else:
-                S = regular_set(n)
+                S = regular_set(rng, n)
             eq = check_equivalence(T, S)
             assert (eq is not None) == equivalent_by_brute_force(T, S)
             if eq is not None:
@@ -290,6 +327,28 @@ class TestEquivalence:
                     S[eq.tile_map[i]] for i in range(len(T))
                 )
         assert 150 < found < 300
+
+    @pytest.mark.parametrize("n", [24, 60])
+    def test_sets_with_uniform_color_counts_answer_at_once(self, n):
+        # No color count tells the tiles of such a set apart, so a tile none
+        # of whose colors is bound tries every S tile.  Taken breadth first
+        # over shared colors, every tile after the first of its component has
+        # a bound color, and so a single candidate.
+        rng = random.Random(n)
+        inequivalent = 0
+        with deadline(5):
+            for _ in range(40):
+                T, S = regular_set(rng, n), regular_set(rng, n)
+                if cycle_types(T) != cycle_types(S):
+                    assert check_equivalence(T, S) is None
+                    inequivalent += 1
+                copy = relabeled_shuffle(rng, T)
+                eq = check_equivalence(T, copy)
+                assert eq is not None
+                assert relabel(T, eq.vertical, eq.horizontal) == WangTileSet(
+                    copy[eq.tile_map[i]] for i in range(n)
+                )
+        assert inequivalent >= 30
 
     def test_long_cycle_does_not_exhaust_the_stack(self):
         # Tile i is (v_i, h_i, v_{i+1}, h_{i+1}): every color signature is
@@ -385,3 +444,49 @@ class TestEquivalence:
         a = parse_tileset("a x a x\nb y b y\n")
         b = parse_tileset("a x a y\nb y b x\n")
         assert check_equivalence(a, b) is None
+
+
+class TestValueConstructor:
+    """core.Value's constructor, which the records take: each field once, by
+    position or by keyword."""
+
+    def test_keyword_positional_and_mixed_give_equal_values(self):
+        evidence = {"k": [1, 2]}
+        built = [
+            Step("claim", evidence, "pass"),
+            Step(claim="claim", evidence=evidence, status="pass"),
+            Step("claim", status="pass", evidence=evidence),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert MarkerReport(((0, 1),), cross_axis_violations=()) == MarkerReport(
+            same_axis_violations=((0, 1),), cross_axis_violations=()
+        )
+
+    @pytest.mark.parametrize("name", ["Equivalence", "MarkerReport", "Step"])
+    def test_repr_evaluates_to_an_equal_value(self, name):
+        value = value_samples()[name]
+        assert eval(repr(value), {name: type(value)}) == value
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("claim", {}), {}),  # missing
+            (("claim",), {"status": "pass"}),  # missing, the rest by keyword
+            (("claim", {}, "pass"), {"note": 1}),  # unknown
+            (("claim", {}, "pass"), {"claim": "again"}),  # repeated
+            (("claim", {}), {"claim": "again", "status": "pass"}),  # repeated for a missing one
+            (("claim", {}, "pass", "extra"), {}),  # extra
+            ((), {}),
+        ],
+    )
+    def test_wrong_fields_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError, match=r"Step\(\) takes each of \('claim', 'evidence'"):
+            Step(*args, **kwargs)
+
+    def test_records_keep_their_mutability(self):
+        step = Step("claim", {}, "pass")
+        step.status = "fail"
+        assert step == Step("claim", {}, "fail")
+        eq = Equivalence({}, {}, {})
+        with pytest.raises(AttributeError):
+            eq.tile_map = {0: 0}

@@ -1,9 +1,10 @@
 """The package runs on the standard library alone, and its imports are layered:
 every import sits at module level, each module imports only modules of lower
 layers (core at the bottom, spectral next, importing only core), no module
-reads another module's private names, and importing the package stays light.
-Value semantics are written in one place, core.Value, and immutability in
-core.Frozen."""
+reads another module's private names, every name a module imports is read
+there, and importing the package stays light.  Value semantics are written
+in one place, core.Value, which also builds the records' constructor, and
+immutability in core.Frozen."""
 
 from __future__ import annotations
 
@@ -294,3 +295,66 @@ def test_value_method_guard_catches_a_written_out_eq():
     assert patched != source
     found = _written_value_methods("core.py", ast.parse(patched))
     assert len(found) == 1 and found[0].endswith(": WangTile.__eq__")
+
+
+# The records: value classes whose constructor would only store their
+# fields, so they take core.Value's.
+RECORDS = {
+    ("core.py", "Equivalence"),
+    ("derivation.py", "MarkerReport"),
+    ("derivation.py", "Derivation"),
+    ("corpus.py", "NamedArtifact"),
+    ("render.py", "StoneGeometry"),
+    ("certify.py", "Step"),
+}
+
+
+def test_records_take_their_constructor_from_core_value():
+    classes = {
+        (name, cls.name): cls
+        for name, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+    assert RECORDS <= set(classes)
+    written = [
+        f"{name}:{node.lineno}: {cls}.__init__"
+        for name, cls in sorted(RECORDS)
+        for node in classes[name, cls].body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    assert written == []
+
+
+def _unread_imports(name: str, tree: ast.Module) -> list[str]:
+    """Every name an import statement of the module binds that the module
+    never reads; __future__ imports bind nothing."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        f"{name}:{node.lineno}: {bound}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for bound in [alias.asname or alias.name.split(".")[0]]
+        if bound not in read
+    ]
+
+
+def test_every_import_is_read():
+    """__init__ imports to re-export, so it is exempt."""
+    unread = [
+        line for name, tree in _modules() if name != "__init__.py"
+        for line in _unread_imports(name, tree)
+    ]
+    assert unread == []
+
+
+def test_import_guard_catches_an_unread_import():
+    source = "from typing import Optional, Union\nimport os.path\nx: Optional[int] = os.sep\n"
+    assert _unread_imports("m.py", ast.parse(source)) == ["m.py:1: Union"]
+    assert _unread_imports("m.py", ast.parse("import os.path as p\n")) == ["m.py:1: p"]
