@@ -162,12 +162,17 @@ TRANSCRIPTS = [
     "iterate omega 0 4",
     "iterate omega 8 3",
     "iterate omega 0 -1",
+    "iterate zeta 0 1",
     "render U --letter 0",
     "render W --letter 5 --labels colors --ascii",
     "render U",
     "spectral gamma",
     "spectral U",
     "corpus export U",
+    "corpus export W",
+    "corpus export alpha",
+    "corpus export beta",
+    "corpus export gamma",
     "corpus export omega",
     "corpus export zeta",
     "certify U --plan e2:2,e2:2",
