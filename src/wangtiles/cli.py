@@ -16,7 +16,7 @@ from typing import Optional
 
 from .certify import certify
 from .core import ParseError, WangTileSet, emit_tileset, parse_tileset
-from .corpus import BUILTIN_NAMES, builtin
+from .corpus import BUILTIN_NAMES, builtin, builtin_names
 from .derivation import MarkerError, MarkerSet, derive, find_marker_candidates, verify_markers
 from .morphism import Morphism2d, Word2d, incidence_matrix, iterate
 from .render import render, render_morphism, stone_geometry_u, stone_render
@@ -30,11 +30,12 @@ class UsageError(ValueError):
 
 
 def load_tileset(ref: str) -> WangTileSet:
-    if ref in BUILTIN_NAMES and builtin(ref).kind == "tileset":
+    names = builtin_names("tileset")
+    if ref in names:
         return builtin(ref).payload
     path = Path(ref)
     if not path.exists():
-        raise UsageError(f"no such tile set: {ref!r} (builtins: U, V, W)")
+        raise UsageError(f"no such tile set: {ref!r} (builtins: {', '.join(names)})")
     try:
         return parse_tileset(path.read_text())
     except ParseError as e:
@@ -42,11 +43,12 @@ def load_tileset(ref: str) -> WangTileSet:
 
 
 def load_morphism(ref: str, domain: Optional[str], codomain: Optional[str]) -> Morphism2d:
-    if ref in BUILTIN_NAMES and builtin(ref).kind == "morphism":
+    names = builtin_names("morphism")
+    if ref in names:
         return builtin(ref).payload
     path = Path(ref)
     if not path.exists():
-        raise UsageError(f"no such morphism: {ref!r} (builtins: alpha, beta, gamma, omega)")
+        raise UsageError(f"no such morphism: {ref!r} (builtins: {', '.join(names)})")
     if domain is None or codomain is None:
         raise UsageError("file morphisms need --domain and --codomain tile sets")
     table = _read_json(path)
@@ -249,6 +251,8 @@ def _write_figures(directory: str, name: str, T: WangTileSet) -> None:
 
 def cmd_suite(args) -> int:
     failures, lines = run_suite(args.filter, args.verbose)
+    if not lines:
+        raise UsageError(f"no acceptance criterion matches {args.filter!r}")
     _write(args.out, "".join(line + "\n" for line in lines))
     return 0 if failures == 0 else 1
 

@@ -3,10 +3,10 @@ desubstitution morphisms between them.
 
 U is the primary tile set (10 vertical colors A..J, 6 horizontal colors
 K..P).  V arises from U by fusing marked vertical dominoes, W from V by
-fusing marked horizontal dominoes, and W is a color relabeling of U.  The
-self-map ``omega`` of U is never stored: it is recomputed at load time as
-alpha o beta o gamma, so a transcription error in any table breaks the
-composition checks instead of hiding.
+fusing marked horizontal dominoes, and W is a color relabeling of U.  Neither
+W nor the self-map ``omega`` of U is stored: W is U recolored by the two
+color bijections, omega is alpha o beta o gamma, so a transcription error in
+any table breaks the derivation and composition checks instead of hiding.
 """
 
 from __future__ import annotations
@@ -29,16 +29,6 @@ V_TILES = [
     ("EH", "K", "ID", "P"), ("EH", "P", "IJ", "P"), ("GF", "O", "CH", "L"),
     ("GF", "O", "EH", "O"), ("ID", "M", "AF", "K"), ("ID", "M", "BF", "M"),
     ("IH", "K", "GF", "K"), ("IH", "K", "ID", "K"), ("IJ", "M", "GF", "K"),
-]
-
-W_TILES = [
-    ("I", "K", "A", "K"), ("I", "K", "B", "M"), ("A", "PL", "I", "KO"),
-    ("G", "PL", "I", "PO"), ("B", "KO", "A", "KO"), ("B", "KO", "B", "MO"),
-    ("B", "PO", "I", "KO"), ("B", "PO", "G", "KO"), ("IH", "K", "GF", "K"),
-    ("ID", "M", "AF", "K"), ("ID", "M", "BF", "M"), ("IJ", "M", "GF", "K"),
-    ("AF", "KO", "ID", "KO"), ("AF", "KO", "GF", "KO"), ("GF", "KO", "ID", "PO"),
-    ("GF", "KO", "GF", "PO"), ("GF", "PO", "IH", "PL"), ("GF", "PO", "IJ", "PO"),
-    ("BF", "MO", "GF", "KO"),
 ]
 
 # Images as lists of columns, columns bottom to top.
@@ -64,15 +54,9 @@ VERTICAL_RELABEL = {
     "C": "BF", "I": "GF", "G": "ID", "B": "IH", "A": "IJ",
 }
 
-BUILTIN_NAMES = ("U", "V", "W", "alpha", "beta", "gamma", "omega")
-
-
 class NamedArtifact(Frozen):
-    """A built-in tile set or morphism with its name and where it comes from.
-
-    kind is "tileset" or "morphism".  Equality and hashing go by (name, kind,
-    payload, provenance).
-    """
+    """A built-in tile set or morphism (kind "tileset" or "morphism") with its
+    name and where it comes from; equality and hashing go by all four fields."""
 
     __slots__ = _fields = ("name", "kind", "payload", "provenance")
 
@@ -81,54 +65,44 @@ def _tileset(spec) -> WangTileSet:
     return WangTileSet(WangTile(*t) for t in spec)
 
 
+def _morphism(table: dict, domain: str, codomain: str):
+    return lambda get: Morphism2d.from_json_table(
+        {str(k): v for k, v in table.items()}, get(domain), get(codomain)
+    )
+
+
+def _w(get) -> WangTileSet:
+    v, h = VERTICAL_RELABEL, HORIZONTAL_RELABEL
+    return _tileset((v[r], h[t], v[l], h[b]) for r, t, l, b in U_TILES)
+
+
+# Name -> (kind, provenance, maker); a maker gets other built-ins' payloads from get.
+_BUILTINS = {
+    "U": ("tileset", "built-in 19-tile set", lambda get: _tileset(U_TILES)),
+    "V": ("tileset", "21 tiles: vertical-domino fusion of U over its 8 marked tiles",
+          lambda get: _tileset(V_TILES)),
+    "W": ("tileset", "19 tiles: horizontal-domino fusion of V over its 7 marked tiles", _w),
+    "alpha": ("morphism", "desubstitution morphism V -> U (letters and vertical dominoes)",
+              _morphism(ALPHA_TABLE, "V", "U")),
+    "beta": ("morphism", "desubstitution morphism W -> V (letters and horizontal dominoes)",
+             _morphism(BETA_TABLE, "W", "V")),
+    "gamma": ("morphism", "index-preserving relabeling U -> W (color bijections)",
+              lambda get: Morphism2d(get("U"), get("W"), tuple(map(Word2d.letter, range(19))))),
+    "omega": ("morphism", "self-map of U: alpha o beta o gamma",
+              lambda get: compose(compose(get("alpha"), get("beta")), get("gamma"))),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def builtin_names(kind: str) -> tuple[str, ...]:
+    """The names of the built-ins of one kind, in BUILTIN_NAMES order."""
+    return tuple(name for name, (k, _, _) in _BUILTINS.items() if k == kind)
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str) -> NamedArtifact:
     """Look up a built-in artifact by name; unknown names list the options."""
-    if name not in BUILTIN_NAMES:
+    if name not in _BUILTINS:
         raise LookupError(f"unknown artifact {name!r}; valid names: {', '.join(BUILTIN_NAMES)}")
-    if name == "U":
-        return NamedArtifact("U", "tileset", _tileset(U_TILES), "built-in 19-tile set")
-    if name == "V":
-        return NamedArtifact(
-            "V", "tileset", _tileset(V_TILES),
-            "21 tiles: vertical-domino fusion of U over its 8 marked tiles",
-        )
-    if name == "W":
-        return NamedArtifact(
-            "W", "tileset", _tileset(W_TILES),
-            "19 tiles: horizontal-domino fusion of V over its 7 marked tiles",
-        )
-    if name == "alpha":
-        return NamedArtifact(
-            "alpha", "morphism",
-            Morphism2d.from_json_table(
-                {str(k): v for k, v in ALPHA_TABLE.items()},
-                builtin("V").payload, builtin("U").payload,
-            ),
-            "desubstitution morphism V -> U (letters and vertical dominoes)",
-        )
-    if name == "beta":
-        return NamedArtifact(
-            "beta", "morphism",
-            Morphism2d.from_json_table(
-                {str(k): v for k, v in BETA_TABLE.items()},
-                builtin("W").payload, builtin("V").payload,
-            ),
-            "desubstitution morphism W -> V (letters and horizontal dominoes)",
-        )
-    if name == "gamma":
-        U = builtin("U").payload
-        W = builtin("W").payload
-        images = tuple(Word2d.letter(i) for i in range(len(U)))
-        return NamedArtifact(
-            "gamma", "morphism", Morphism2d(U, W, images),
-            "index-preserving relabeling U -> W (color bijections)",
-        )
-    # omega = alpha o beta o gamma, recomputed from the stored tables.
-    alpha = builtin("alpha").payload
-    beta = builtin("beta").payload
-    gamma = builtin("gamma").payload
-    return NamedArtifact(
-        "omega", "morphism", compose(compose(alpha, beta), gamma),
-        "self-map of U: alpha o beta o gamma",
-    )
+    kind, provenance, make = _BUILTINS[name]
+    return NamedArtifact(name, kind, make(lambda other: builtin(other).payload), provenance)

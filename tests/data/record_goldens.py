@@ -179,6 +179,7 @@ TRANSCRIPTS = [
     "certify U --plan sideways",
     "suite",
     "suite --filter spectral --out no/such/directory/report.txt",
+    "suite --filter zzz",
 ]
 TRANSCRIPTS_FILE = "cli_transcripts.json"
 

@@ -461,7 +461,7 @@ def test_check_mode_passes_on_the_golden_certificates(capsys):
     assert recorded.main(["--check"]) == 0
     err = capsys.readouterr().err
     assert "28 of 28 files match" in err
-    assert "32 of 32 transcripts match" in err
+    assert "38 of 38 transcripts match" in err
 
 
 def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -480,7 +480,7 @@ def test_check_mode_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
     assert "differs: certificate_U_auto.json" not in err
     assert "26 of 28 files match" in err
     assert "differs: transcript of 'markers U --dir 2 --radius 2'" in err
-    assert "31 of 32 transcripts match" in err
+    assert "37 of 38 transcripts match" in err
     assert (data / "certificate_W_auto.json").read_text() == "stale"
     assert not (data / "fallback_U_auto_e1-first.json").exists()
     assert json.loads((data / recorded.TRANSCRIPTS_FILE).read_text()) == transcripts

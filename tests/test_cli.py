@@ -454,6 +454,12 @@ class TestSuiteCommand:
         assert code == 0
         assert "C11" in out
 
+    def test_filter_matching_nothing_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "suite", "--filter", "zzz")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no acceptance criterion matches 'zzz'\n"
+
     def test_crashing_criterion_reports_failure(self, capsys, monkeypatch):
         import wangtiles.suite as suite_module
 

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from wangtiles.core import WangTile
+from wangtiles.core import WangTile, WangTileSet
 from wangtiles.corpus import (
+    BUILTIN_NAMES,
     HORIZONTAL_RELABEL,
     VERTICAL_RELABEL,
     builtin,
+    builtin_names,
 )
 from wangtiles.derivation import MarkerSet, derive
-from wangtiles.morphism import Word2d, compose
+from wangtiles.morphism import Morphism2d, Word2d, compose
 
 from helpers import relabel
 
@@ -80,9 +82,17 @@ def test_v_is_the_derivation_of_u():
     assert ts == V
 
 
+def test_builtin_names_keep_their_order():
+    assert BUILTIN_NAMES == ("U", "V", "W", "alpha", "beta", "gamma", "omega")
+    assert builtin_names("tileset") == ("U", "V", "W")
+    assert builtin_names("morphism") == ("alpha", "beta", "gamma", "omega")
+
+
 def test_artifact_metadata():
-    for name, kind in (("U", "tileset"), ("omega", "morphism")):
+    payload_types = {"tileset": WangTileSet, "morphism": Morphism2d}
+    for name in BUILTIN_NAMES:
         artifact = builtin(name)
         assert artifact.name == name
-        assert artifact.kind == kind
+        assert artifact.kind == ("tileset" if name in ("U", "V", "W") else "morphism")
         assert artifact.provenance
+        assert isinstance(artifact.payload, payload_types[artifact.kind])
